@@ -51,15 +51,15 @@ fn bench_hierarchy_sweep(c: &mut Criterion) {
     use balance_core::{LevelSpec, Words, WordsPerSec};
     let mut g = c.benchmark_group("hierarchy_sweep_matmul_n96");
     g.sample_size(10);
-    let cfg = matmul_cfg(Verify::Freivalds { rounds: 2 });
     // The production two-level configuration: every transferred word also
     // walks a 16 K-word L2 model, so this bench prices the per-level
     // accounting against the flat parallel sweep above.
     let outer = [
         LevelSpec::new(Words::new(16384), WordsPerSec::new(1.0e7)).expect("valid level"),
     ];
+    let cfg = matmul_cfg(Verify::Freivalds { rounds: 2 }).with_outer(&outer);
     g.bench_function("two_level_parallel", |b| {
-        b.iter(|| hierarchy_sweep_par(&MatMul, &cfg, &outer).expect("verified"));
+        b.iter(|| intensity_sweep_par(&MatMul, &cfg).expect("verified"));
     });
     g.finish();
 }

@@ -178,18 +178,25 @@ pub fn verify_by_name(name: &str) -> Result<Verify, String> {
     })
 }
 
-/// Parses an `--engine` flag value into an [`Engine`], resolving `auto`
-/// for a sweep of `points` memory sizes. The scaled tiers take an
-/// optional `:`-suffixed parameter: `stackdist-par[:K]` runs the exact
-/// segmented parallel engine on `K` threads (default: all cores), and
-/// `sampled[:S]` the SHARDS-style sampled engine at rate `2^-S`
-/// (default `S = 4`, rate 1/16).
+/// Parses an `--engine` flag value into an [`Engine`] for a capacity
+/// sweep of `kernel` under `cfg`, resolving `auto` through
+/// [`Engine::auto`] (which reads the kernel, the traffic model and the
+/// sweep's point count off `cfg`). The scaled tiers take an optional
+/// `:`-suffixed parameter: `stackdist-par[:K]` runs the exact segmented
+/// parallel engine on `K` threads (default: all cores), and `sampled[:S]`
+/// the SHARDS-style sampled engine at rate `2^-S` (default `S = 4`, rate
+/// 1/16). Explicit names parse as given — the sweep itself refuses
+/// engine/model combinations it cannot price.
 ///
 /// # Errors
 ///
 /// Unknown engine names or malformed parameters, with the list of valid
 /// ones.
-pub fn engine_by_name(name: &str, points: usize) -> Result<Engine, String> {
+pub fn engine_by_name(
+    name: &str,
+    kernel: &dyn Kernel,
+    cfg: &SweepConfig,
+) -> Result<Engine, String> {
     let parse_param = |spec: &str, what: &str| -> Result<Option<u64>, String> {
         match spec.split_once(':') {
             None => Ok(None),
@@ -203,7 +210,7 @@ pub fn engine_by_name(name: &str, points: usize) -> Result<Engine, String> {
         "replay" => Engine::Replay,
         "stackdist" => Engine::StackDist,
         "analytic" => Engine::Analytic,
-        "auto" => Engine::auto(points),
+        "auto" => Engine::auto(kernel, cfg),
         spec if spec == "stackdist-par" || spec.starts_with("stackdist-par:") => {
             let threads = parse_param(spec, "thread count")?;
             if threads == Some(0) {
@@ -234,50 +241,6 @@ pub fn engine_by_name(name: &str, points: usize) -> Result<Engine, String> {
              (try: replay, stackdist, stackdist-par[:K], sampled[:S], analytic, auto)"
         ))?,
     })
-}
-
-/// [`engine_by_name`] with the kernel in hand: `auto` resolves through
-/// [`Engine::auto_for_kernel`], so kernels with a derived closed-form
-/// histogram get the zero-replay analytic tier and the rest the
-/// trace-length escalation. Explicit engine names parse unchanged.
-///
-/// # Errors
-///
-/// As [`engine_by_name`].
-pub fn engine_by_name_for(
-    name: &str,
-    points: usize,
-    kernel: &dyn Kernel,
-    n: usize,
-) -> Result<Engine, String> {
-    if name == "auto" {
-        Ok(Engine::auto_for_kernel(points, kernel, n))
-    } else {
-        engine_by_name(name, points)
-    }
-}
-
-/// [`engine_by_name_for`] with the sweep's [`TrafficModel`] in hand:
-/// `auto` resolves through [`Engine::auto_for_model`], so device-real
-/// models land on the tagged engines (never the word-granular analytic /
-/// segmented / sampled tiers). Explicit names parse unchanged — the sweep
-/// itself rejects engine/model combinations it cannot price.
-///
-/// # Errors
-///
-/// As [`engine_by_name`].
-pub fn engine_by_name_for_model(
-    name: &str,
-    points: usize,
-    kernel: &dyn Kernel,
-    n: usize,
-    model: TrafficModel,
-) -> Result<Engine, String> {
-    if name == "auto" {
-        Ok(Engine::auto_for_model(points, kernel, n, model))
-    } else {
-        engine_by_name(name, points)
-    }
 }
 
 /// The kernel registry for the sweep commands, keyed by CLI name.
@@ -358,7 +321,8 @@ pub fn parse_checkpoint(flags: &Flags) -> Result<Option<CheckpointPolicy>, Strin
 }
 
 /// `balance sweep --kernel <name> --n <size> [--seed <u64>]
-/// [--verify full|freivalds|none] [--engine replay|stackdist|auto]
+/// [--verify full|freivalds|none]
+/// [--engine replay|stackdist|stackdist-par[:K]|sampled[:S]|analytic|auto]
 /// [--line-words <L>] [--max-wall-secs <s>] [--max-resident-bytes <b>]
 /// [--max-addresses <a>] [--ckpt-dir <path> [--ckpt-every <addrs>]]`: run
 /// a real measured sweep (in parallel across cores) and fit the law.
@@ -425,11 +389,9 @@ pub fn cmd_sweep(flags: &Flags) -> Result<String, String> {
     }
     let (result, header) = match flags.str_opt("engine") {
         Some(engine) => {
-            let engine =
-                engine_by_name_for_model(engine, cfg.memories.len(), kernel.as_ref(), n, model)?;
-            let result = capacity_sweep_par(kernel.as_ref(), &cfg.clone().with_engine(engine))
-                .map_err(|e| e.to_string())?;
-            let mut header = format!("cache-model capacity sweep ({engine:?} engine)\n");
+            cfg.engine = engine_by_name(engine, kernel.as_ref(), &cfg)?;
+            let result = capacity_sweep(kernel.as_ref(), &cfg).map_err(|e| e.to_string())?;
+            let mut header = format!("cache-model capacity sweep ({:?} engine)\n", cfg.engine);
             if let Some(lw) = line_words {
                 header.push_str(&format!(
                     "traffic model: {lw}-word lines, dirty write-backs ledgered\n"
@@ -572,8 +534,8 @@ pub fn parse_line_words(flags: &Flags) -> Result<Option<u64>, String> {
 
 /// `balance hierarchy --levels CAP:BW[:LAT[:LINE[:WBW]]][,...]
 /// [--c <ops/s>] [--kernel <name> [--n <size>] [--line-words <L>]
-/// [--engine replay|stackdist|auto]]`: the balance law per level of a
-/// memory hierarchy.
+/// [--engine replay|stackdist|stackdist-par[:K]|sampled[:S]|analytic|auto]]`:
+/// the balance law per level of a memory hierarchy.
 ///
 /// Prints each boundary's ridge point, then — for each law in
 /// [`MODEL_NAMES`] — the attainable throughput
@@ -677,27 +639,26 @@ pub fn cmd_hierarchy(flags: &Flags) -> Result<String, String> {
         let uniform = spec.levels()[1..]
             .iter()
             .all(|l| l.line_words() <= 1 || l.line_words() == model_line);
-        // `auto`'s point count here is the number of capacities read off
-        // the histogram — the ladder depth, not the single sweep point
-        // (a depth-d replay costs ~d LRU updates per address, so shallow
-        // ladders favor the plain replay and deep ones the histogram).
-        let engine = match flags.str_opt("engine") {
-            Some(e) => engine_by_name_for_model(e, spec.depth(), kernel.as_ref(), n, model)?,
-            Option::None if device && !uniform => Engine::Replay,
-            Option::None => Engine::StackDist,
-        };
-        let cfg = SweepConfig {
+        let mut cfg = SweepConfig {
             n,
             memories: vec![spec.local_capacity_words()],
             seed: 42,
             verify: Verify::None,
-            engine,
             ..SweepConfig::default()
         }
-        .with_traffic(model);
-        let outer: Vec<LevelSpec> = spec.levels()[1..].to_vec();
-        let result = hierarchy_capacity_sweep(kernel.as_ref(), &cfg, &outer)
-            .map_err(|e| e.to_string())?;
+        .with_traffic(model)
+        .with_outer(&spec.levels()[1..]);
+        // `auto` counts every boundary of the single sweep point as a
+        // capacity read off the histogram — the ladder depth (a depth-d
+        // replay costs ~d LRU updates per address, so shallow ladders
+        // favor the plain replay and deep ones the histogram).
+        cfg.engine = match flags.str_opt("engine") {
+            Some(e) => engine_by_name(e, kernel.as_ref(), &cfg)?,
+            Option::None if device && !uniform => Engine::Replay,
+            Option::None => Engine::StackDist,
+        };
+        let engine = cfg.engine;
+        let result = capacity_sweep(kernel.as_ref(), &cfg).map_err(|e| e.to_string())?;
         let run = result
             .runs
             .first()
@@ -1084,33 +1045,48 @@ mod tests {
         .is_err());
     }
 
+    /// [`engine_by_name`] for an fft sweep of `points` capacities at
+    /// n = 8: no closed form and a short trace, so `auto` follows the
+    /// point count alone.
+    fn by_name(name: &str, points: usize) -> Result<Engine, String> {
+        engine_by_name(name, &balance_kernels::fft::Fft, &points_cfg(8, points))
+    }
+
+    fn points_cfg(n: usize, points: usize) -> SweepConfig {
+        SweepConfig {
+            n,
+            memories: vec![64; points],
+            ..SweepConfig::default()
+        }
+    }
+
     #[test]
     fn engine_registry_parses_all_modes() {
-        assert_eq!(engine_by_name("replay", 16).unwrap(), Engine::Replay);
-        assert_eq!(engine_by_name("stackdist", 1).unwrap(), Engine::StackDist);
-        assert_eq!(engine_by_name("auto", 3).unwrap(), Engine::Replay);
-        assert_eq!(engine_by_name("auto", 4).unwrap(), Engine::StackDist);
-        assert!(engine_by_name("onepass", 4).is_err());
+        assert_eq!(by_name("replay", 16).unwrap(), Engine::Replay);
+        assert_eq!(by_name("stackdist", 1).unwrap(), Engine::StackDist);
+        assert_eq!(by_name("auto", 3).unwrap(), Engine::Replay);
+        assert_eq!(by_name("auto", 4).unwrap(), Engine::StackDist);
+        assert!(by_name("onepass", 4).is_err());
         // The scaled tiers, with and without their parameters.
         assert_eq!(
-            engine_by_name("stackdist-par", 4).unwrap(),
+            by_name("stackdist-par", 4).unwrap(),
             Engine::StackDistPar { threads: 0 }
         );
         assert_eq!(
-            engine_by_name("stackdist-par:6", 4).unwrap(),
+            by_name("stackdist-par:6", 4).unwrap(),
             Engine::StackDistPar { threads: 6 }
         );
-        assert_eq!(engine_by_name("sampled", 4).unwrap(), Engine::Sampled { shift: 4 });
-        assert_eq!(engine_by_name("sampled:7", 4).unwrap(), Engine::Sampled { shift: 7 });
-        assert_eq!(engine_by_name("sampled:0", 4).unwrap(), Engine::Sampled { shift: 0 });
-        assert!(engine_by_name("stackdist-par:x", 4).is_err());
-        assert!(engine_by_name("sampled:99", 4).is_err(), "shift beyond MAX rejected");
-        assert!(engine_by_name("sampled:-3", 4).is_err());
+        assert_eq!(by_name("sampled", 4).unwrap(), Engine::Sampled { shift: 4 });
+        assert_eq!(by_name("sampled:7", 4).unwrap(), Engine::Sampled { shift: 7 });
+        assert_eq!(by_name("sampled:0", 4).unwrap(), Engine::Sampled { shift: 0 });
+        assert!(by_name("stackdist-par:x", 4).is_err());
+        assert!(by_name("sampled:99", 4).is_err(), "shift beyond MAX rejected");
+        assert!(by_name("sampled:-3", 4).is_err());
         // The zero-replay tier parses, takes no parameter, and is listed
         // in the unknown-engine diagnostic.
-        assert_eq!(engine_by_name("analytic", 4).unwrap(), Engine::Analytic);
-        assert!(engine_by_name("analytic:2", 4).is_err());
-        let err = engine_by_name("nope", 4).unwrap_err();
+        assert_eq!(by_name("analytic", 4).unwrap(), Engine::Analytic);
+        assert!(by_name("analytic:2", 4).is_err());
+        let err = by_name("nope", 4).unwrap_err();
         assert!(err.contains("analytic"), "{err}");
     }
 
@@ -1118,20 +1094,21 @@ mod tests {
     fn engine_auto_resolution_is_kernel_aware() {
         // With the kernel in hand, auto grows the analytic tier for
         // kernels that derive a histogram, and falls back for the rest.
+        let cfg = points_cfg(8, 16);
         assert_eq!(
-            engine_by_name_for("auto", 16, &MatMul, 8).unwrap(),
+            engine_by_name("auto", &MatMul, &cfg).unwrap(),
             Engine::Analytic
         );
         assert_eq!(
-            engine_by_name_for("auto", 16, &balance_kernels::fft::Fft, 8).unwrap(),
+            engine_by_name("auto", &balance_kernels::fft::Fft, &cfg).unwrap(),
             Engine::StackDist
         );
         // Explicit names bypass the kernel entirely.
         assert_eq!(
-            engine_by_name_for("replay", 16, &MatMul, 8).unwrap(),
+            engine_by_name("replay", &MatMul, &cfg).unwrap(),
             Engine::Replay
         );
-        assert!(engine_by_name_for("bogus", 16, &MatMul, 8).is_err());
+        assert!(engine_by_name("bogus", &MatMul, &cfg).is_err());
     }
 
     #[test]
@@ -1179,16 +1156,16 @@ mod tests {
 
     #[test]
     fn engine_registry_rejects_malformed_specs_with_one_line_diagnostics() {
-        let err = engine_by_name("sampled:banana", 4).unwrap_err();
+        let err = by_name("sampled:banana", 4).unwrap_err();
         assert!(err.contains("banana"), "{err}");
         assert!(!err.contains('\n'), "diagnostic must be one line: {err:?}");
         // An explicit zero thread count is malformed; bare stackdist-par
         // still means "all cores".
-        let err = engine_by_name("stackdist-par:0", 4).unwrap_err();
+        let err = by_name("stackdist-par:0", 4).unwrap_err();
         assert!(err.contains("at least one thread"), "{err}");
         assert!(!err.contains('\n'), "diagnostic must be one line: {err:?}");
         assert_eq!(
-            engine_by_name("stackdist-par", 4).unwrap(),
+            by_name("stackdist-par", 4).unwrap(),
             Engine::StackDistPar { threads: 0 }
         );
     }

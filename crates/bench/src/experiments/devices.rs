@@ -24,9 +24,7 @@
 use balance_core::{LevelSpec, Words, WordsPerSec};
 use balance_kernels::matmul::{BlockedTrace, MatMul, NaiveTrace};
 use balance_kernels::sorting::ExternalSort;
-use balance_kernels::sweep::{
-    capacity_sweep, hierarchy_capacity_sweep, Engine, SweepConfig, TrafficModel,
-};
+use balance_kernels::sweep::{capacity_sweep, Engine, SweepConfig, TrafficModel};
 use balance_kernels::Verify;
 use balance_machine::StackDistance;
 
@@ -207,12 +205,11 @@ pub fn e26_devices() -> Report {
         Engine::Replay,
         TrafficModel::device(block),
     );
-    let sorted = hierarchy_capacity_sweep(&ExternalSort, &sort_cfg, &[disk])
+    let sorted = capacity_sweep(&ExternalSort, &sort_cfg.clone().with_outer(&[disk]))
         .unwrap_or_else(|e| panic!("traced: {e}"));
-    let sorted_onepass = hierarchy_capacity_sweep(
+    let sorted_onepass = capacity_sweep(
         &ExternalSort,
-        &sort_cfg.clone().with_engine(Engine::StackDist),
-        &[disk],
+        &sort_cfg.clone().with_engine(Engine::StackDist).with_outer(&[disk]),
     )
     .unwrap_or_else(|e| panic!("traced: {e}"));
     body.push_str(&format!(

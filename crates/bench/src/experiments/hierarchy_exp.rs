@@ -20,7 +20,7 @@
 //!   outermost boundary reduced to the compulsory minimum.
 
 use balance_core::{HierarchySpec, LevelSpec, OpsPerSec, Words, WordsPerSec};
-use balance_kernels::sweep::{hierarchy_sweep_par, Engine, SweepConfig};
+use balance_kernels::sweep::{intensity_sweep_par, Engine, SweepConfig};
 use balance_kernels::{Kernel, KernelRun, Verify};
 use balance_roofline::HierarchicalRoofline;
 
@@ -78,7 +78,7 @@ fn sweep(
         engine: Engine::Replay,
         ..SweepConfig::default()
     };
-    let result = hierarchy_sweep_par(kernel, &cfg, &outer_levels(outer)).unwrap_or_else(|e| panic!("verified sweep: {e}"));
+    let result = intensity_sweep_par(kernel, &cfg.with_outer(&outer_levels(outer))).unwrap_or_else(|e| panic!("verified sweep: {e}"));
     let bindings = result
         .runs
         .iter()

@@ -24,9 +24,7 @@ use balance_core::{LevelSpec, Words, WordsPerSec};
 use balance_kernels::fft::Fft;
 use balance_kernels::matmul::MatMul;
 use balance_kernels::sorting::ExternalSort;
-use balance_kernels::sweep::{
-    capacity_sweep, hierarchy_capacity_sweep, Engine, SweepConfig, SweepResult,
-};
+use balance_kernels::sweep::{capacity_sweep, Engine, SweepConfig, SweepResult};
 use balance_kernels::{Kernel, Verify};
 
 use crate::report::{Finding, Report};
@@ -154,11 +152,10 @@ pub fn e22_onepass() -> Report {
         engine: Engine::StackDist,
         ..SweepConfig::default()
     };
-    let ladder = hierarchy_capacity_sweep(&MatMul, &ladder_cfg, &outer).unwrap_or_else(|e| panic!("traced: {e}"));
-    let ladder_replay = hierarchy_capacity_sweep(
+    let ladder = capacity_sweep(&MatMul, &ladder_cfg.clone().with_outer(&outer)).unwrap_or_else(|e| panic!("traced: {e}"));
+    let ladder_replay = capacity_sweep(
         &MatMul,
-        &ladder_cfg.clone().with_engine(Engine::Replay),
-        &outer,
+        &ladder_cfg.clone().with_engine(Engine::Replay).with_outer(&outer),
     )
     .unwrap_or_else(|e| panic!("traced: {e}"));
     body.push_str("\nmatmul 3-level ladder (M1 swept under 1024- and 4096-word levels):\n");

@@ -80,10 +80,9 @@ pub mod prelude {
     };
     pub use crate::sorting::ExternalSort;
     pub use crate::sweep::{
-        capacity_sweep, capacity_sweep_par, engine_spec, hierarchy_capacity_sweep,
-        hierarchy_capacity_sweep_par, hierarchy_sweep, hierarchy_sweep_par, intensity_sweep,
-        intensity_sweep_par, par_map, robust_capacity_profile, DegradationStep, Engine,
-        Provenance, SweepConfig, SweepResult, TrafficModel,
+        capacity_sweep, engine_spec, intensity_sweep, intensity_sweep_par, par_map,
+        robust_capacity_profile, DegradationStep, Engine, Provenance, SweepConfig, SweepResult,
+        TrafficModel,
     };
     pub use crate::trace::AccessTrace;
     pub use crate::traits::{all_kernels, extension_kernels, Kernel, KernelRun};

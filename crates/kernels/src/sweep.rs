@@ -5,14 +5,19 @@
 //! `(M, C_comp/C_io)` points, and hand them to `balance-core`'s fitting and
 //! curve-inversion machinery.
 //!
-//! Two executors produce **bit-identical** results:
+//! Every executor sweeps the local memory over [`SweepConfig::memories`]
+//! under the fixed outer levels of [`SweepConfig::outer`] (empty: a flat
+//! machine). There are three:
 //!
-//! * [`intensity_sweep`] — one point after another on the calling thread;
+//! * [`intensity_sweep`] — runs the kernel's decomposition scheme one point
+//!   after another on the calling thread;
 //! * [`intensity_sweep_par`] — the same points fanned out over
-//!   `std::thread::available_parallelism` scoped workers. Every run is
-//!   independent (kernels take `&self` and own their `Pe`/`ExternalStore`),
-//!   workloads and verification probes are seeded per run, and points are
-//!   re-sorted into sweep order before they are returned.
+//!   `std::thread::available_parallelism` scoped workers, **bit-identical**
+//!   to the serial executor. Every run is independent (kernels take `&self`
+//!   and own their `Pe`/`ExternalStore`), workloads and verification probes
+//!   are seeded per run, and points are re-sorted into sweep order before
+//!   they are returned;
+//! * [`capacity_sweep`] — the cache-model curve (below).
 //!
 //! Verification cost is a knob ([`SweepConfig::verify`]): `Full` recomputes
 //! the `O(n³)` reference at every point, [`Verify::Freivalds`] downgrades
@@ -22,19 +27,17 @@
 //!
 //! ## One-pass capacity sweeps
 //!
-//! [`capacity_sweep`] is the third executor family: it measures the
-//! **cache-model** curve — the kernel's canonical trace
-//! ([`Kernel::access_trace`]) replayed through an automatically managed
-//! LRU of capacity `M` — instead of running the explicit decomposition
-//! scheme per point. Because LRU is a stack algorithm, the whole curve is
-//! a pure function of one reuse-distance histogram, so the
-//! [`Engine::StackDist`] engine replays the trace **once** and reads every
-//! `M` off the histogram in O(1), where [`Engine::Replay`] replays once
-//! per memory size. The two engines are bit-identical across the kernel
-//! registry (pinned by property test); [`Engine::auto`] picks stack
-//! distance once a sweep has ≥ 4 points, where the single replay
-//! amortizes. [`hierarchy_capacity_sweep`] is the multi-level read: every
-//! ladder boundary's traffic from the same histogram.
+//! [`capacity_sweep`] measures the **cache-model** curve — the kernel's
+//! canonical trace ([`Kernel::access_trace`]) replayed through an
+//! automatically managed LRU of capacity `M` — instead of running the
+//! explicit decomposition scheme per point. Because LRU is a stack
+//! algorithm, the whole curve is a pure function of one reuse-distance
+//! histogram, so the [`Engine::StackDist`] engine replays the trace
+//! **once** and reads every `M` (and every outer boundary) off the
+//! histogram in O(1), where [`Engine::Replay`] replays once per memory size
+//! (fanned out over worker threads). The engines are bit-identical across
+//! the kernel registry (pinned by property test); [`Engine::auto`] picks
+//! one from the kernel and the sweep's shape.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -49,7 +52,7 @@ use balance_machine::{
     resumable_replay, sampled_profile_of, sampled_profile_of_bounded, segmented_profile_of,
     segmented_profile_resumable, CapacityProfile, CheckpointPolicy, FaultPlan, Hierarchy,
     LruCache, MemorySystem as _, ReplayControl, ReplayInterrupt, SampledStackDistance,
-    StackDistance, MAX_SAMPLE_SHIFT,
+    StackDistance, TrafficProfile, MAX_SAMPLE_SHIFT,
 };
 
 use crate::error::KernelError;
@@ -97,75 +100,44 @@ pub enum Engine {
     /// proptest) and `O(poly(log n))` in the trace length — curves at
     /// sizes no replay could touch. Only kernels that derive a histogram
     /// support it; the rest fail with `BadParameters` (and are never
-    /// auto-selected into this tier — see [`Engine::auto_for_kernel`]).
+    /// auto-selected into this tier — see [`Engine::auto`]).
     Analytic,
 }
 
-/// Trace length beyond which [`Engine::auto_for`] escalates from the
-/// serial one-pass engine to the segmented parallel one (2²⁷ ≈ 134M
-/// addresses — roughly a second of serial histogram work).
+/// Trace length beyond which [`Engine::auto`] escalates from the serial
+/// one-pass engine to the segmented parallel one (2²⁷ ≈ 134M addresses —
+/// roughly a second of serial histogram work).
 pub const AUTO_SEGMENT_LEN: u64 = 1 << 27;
 
 impl Engine {
-    /// The recommended engine for a sweep of `points` memory sizes: the
-    /// one-pass engine as soon as it amortizes (≥ 4 points), the plain
-    /// replay below that.
+    /// The recommended engine for a capacity sweep of `kernel` under `cfg`.
+    ///
+    /// The sweep reads `memories.len() × (1 + outer.len())` capacities
+    /// (every outer boundary of every point). Under the word-granular
+    /// read-priced model the picks are, in order: the zero-replay
+    /// [`Engine::Analytic`] tier whenever the kernel derives a histogram at
+    /// `cfg.n` (exact and free); the segmented parallel engine
+    /// ([`Engine::StackDistPar`], auto thread count) for ≥ 4 capacities on
+    /// traces of at least [`AUTO_SEGMENT_LEN`] addresses; the one-pass
+    /// engine for ≥ 4 capacities, where its single replay amortizes; the
+    /// plain per-point replay below that. Under a device-real model the
+    /// analytic, segmented and sampled tiers are word-granular machinery
+    /// and are never chosen: the one-pass tagged engine at ≥ 4 capacities,
+    /// the replay below. Sampling is never chosen automatically — trading
+    /// exactness is the caller's call.
     #[must_use]
-    pub fn auto(points: usize) -> Engine {
-        if points >= 4 {
-            Engine::StackDist
-        } else {
-            Engine::Replay
-        }
-    }
-
-    /// [`Engine::auto`] with the trace length in hand: escalates to the
-    /// segmented parallel engine ([`Engine::StackDistPar`], auto thread
-    /// count) past [`AUTO_SEGMENT_LEN`] addresses. Sampling is never
-    /// chosen automatically — trading exactness is the caller's call.
-    #[must_use]
-    pub fn auto_for(points: usize, trace_len: u64) -> Engine {
-        if points >= 4 && trace_len >= AUTO_SEGMENT_LEN {
-            Engine::StackDistPar { threads: 0 }
-        } else {
-            Engine::auto(points)
-        }
-    }
-
-    /// [`Engine::auto_for`] with the kernel in hand: the zero-replay
-    /// [`Engine::Analytic`] tier whenever the kernel derives a histogram
-    /// at this `n` (exactness is contractual, so there is nothing to
-    /// trade), otherwise the trace-length escalation of
-    /// [`Engine::auto_for`].
-    #[must_use]
-    pub fn auto_for_kernel(points: usize, kernel: &dyn Kernel, n: usize) -> Engine {
-        if kernel.analytic_profile(n).is_some() {
-            Engine::Analytic
-        } else {
-            match kernel.access_trace(n) {
-                Some(trace) => Engine::auto_for(points, trace.len()),
-                None => Engine::auto(points),
+    pub fn auto(kernel: &dyn Kernel, cfg: &SweepConfig) -> Engine {
+        let onepass = cfg.memories.len() * (1 + cfg.outer.len()) >= 4;
+        if cfg.traffic.is_word_granular_read_priced() {
+            if kernel.analytic_profile(cfg.n).is_some() {
+                return Engine::Analytic;
+            }
+            let long = |trace: AccessTrace| trace.len() >= AUTO_SEGMENT_LEN;
+            if onepass && kernel.access_trace(cfg.n).is_some_and(long) {
+                return Engine::StackDistPar { threads: 0 };
             }
         }
-    }
-
-    /// [`Engine::auto_for_kernel`] with the traffic model in hand. Under
-    /// the word-granular read-priced model it is exactly
-    /// [`Engine::auto_for_kernel`]; under a device-real model the
-    /// closed-form, segmented, and sampled tiers are all word-granular
-    /// machinery and are never chosen — the one-pass tagged engine is the
-    /// fast exact tier (on the same ≥ 4-point amortization threshold as
-    /// [`Engine::auto`]), the per-point replay below that.
-    #[must_use]
-    pub fn auto_for_model(
-        points: usize,
-        kernel: &dyn Kernel,
-        n: usize,
-        model: TrafficModel,
-    ) -> Engine {
-        if model.is_word_granular_read_priced() {
-            Engine::auto_for_kernel(points, kernel, n)
-        } else if points >= 4 {
+        if onepass {
             Engine::StackDist
         } else {
             Engine::Replay
@@ -225,29 +197,10 @@ impl TrafficModel {
     pub const fn is_word_granular_read_priced(&self) -> bool {
         self.line_words <= 1 && !self.writebacks
     }
-
-    /// Validates the model's shape (the same rule as
-    /// [`LevelSpec::with_line_words`]: a positive power of two).
-    ///
-    /// # Errors
-    ///
-    /// [`KernelError::BadParameters`] for a zero or non-power-of-two line
-    /// size.
-    fn validate(&self) -> Result<(), KernelError> {
-        if self.line_words == 0 || !self.line_words.is_power_of_two() {
-            return Err(KernelError::BadParameters {
-                reason: format!(
-                    "line size must be a positive power of two words, got {}",
-                    self.line_words
-                ),
-            });
-        }
-        Ok(())
-    }
 }
 
 /// Parameters of one memory sweep.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepConfig {
     /// Problem size passed to every run.
     pub n: usize,
@@ -258,37 +211,41 @@ pub struct SweepConfig {
     /// Verification policy per point (the first eligible point is always
     /// fully verified when this is [`Verify::Freivalds`]).
     pub verify: Verify,
-    /// Measurement engine for the *capacity* executors
-    /// ([`capacity_sweep`] / [`hierarchy_capacity_sweep`]); the
-    /// kernel-running executors ignore it (they execute the decomposition
-    /// scheme, which no single trace can stand in for).
+    /// Measurement engine for [`capacity_sweep`]; the kernel-running
+    /// executors ignore it (they execute the decomposition scheme, which
+    /// no single trace can stand in for).
     pub engine: Engine,
-    /// Optional resource budget for the capacity executors. When any
+    /// Optional resource budget for [`capacity_sweep`]. When any
     /// limit trips, the measurement **degrades** along the engine ladder
     /// (see [`robust_capacity_profile`]) instead of aborting, and the
     /// substitution is reported in [`SweepResult::provenance`]. `None`
     /// runs unbounded. The kernel-running executors ignore it.
     pub budget: Option<Budget>,
-    /// Optional checkpoint policy for the capacity executors: the replay
+    /// Optional checkpoint policy for [`capacity_sweep`]: the replay
     /// persists resumable engine snapshots every
     /// [`CheckpointPolicy::every`] addresses, so a killed sweep re-run
     /// with the same config resumes instead of restarting (see
     /// [`balance_machine::checkpoint`]). The kernel-running executors
     /// ignore it.
     pub checkpoint: Option<CheckpointPolicy>,
-    /// The traffic model the capacity executors price
+    /// The traffic model [`capacity_sweep`] prices
     /// ([`TrafficModel::WORD`] by default — bit-identical to every
     /// pre-device sweep). The kernel-running executors ignore it: a
     /// decomposition scheme moves its words explicitly, so there is no
     /// cache state for a line size or dirty bit to live in.
     pub traffic: TrafficModel,
+    /// Fixed outer levels below the swept local memory, innermost first
+    /// (empty: a flat machine). Each run carries one traffic entry per
+    /// level; memory sizes at or above the first outer capacity are
+    /// skipped, since level 0 must stay the smallest level of the ladder.
+    pub outer: Vec<LevelSpec>,
 }
 
 impl Default for SweepConfig {
     /// An empty sweep skeleton for struct-update syntax
     /// (`SweepConfig { n, memories, ..Default::default() }`): no points,
     /// seed 0, full verification, default engine, no budget, no
-    /// checkpoints.
+    /// checkpoints, word traffic, no outer levels.
     fn default() -> Self {
         SweepConfig {
             n: 0,
@@ -299,20 +256,19 @@ impl Default for SweepConfig {
             budget: None,
             checkpoint: None,
             traffic: TrafficModel::default(),
+            outer: Vec::new(),
         }
     }
 }
 
 impl SweepConfig {
-    /// A sweep over powers of two `2^lo ..= 2^hi`, fully verified, with
-    /// the engine [`Engine::auto`] recommends for the point count.
+    /// A flat sweep over powers of two `2^lo ..= 2^hi`, fully verified, on
+    /// the default engine.
     #[must_use]
     pub fn pow2(n: usize, lo: u32, hi: u32, seed: u64) -> Self {
-        let memories: Vec<usize> = (lo..=hi).map(|k| 1usize << k).collect();
         SweepConfig {
             n,
-            engine: Engine::auto(memories.len()),
-            memories,
+            memories: (lo..=hi).map(|k| 1usize << k).collect(),
             seed,
             ..SweepConfig::default()
         }
@@ -347,10 +303,18 @@ impl SweepConfig {
     }
 
     /// The same sweep under a different traffic model (line granularity
-    /// and write-back pricing for the capacity executors).
+    /// and write-back pricing for [`capacity_sweep`]).
     #[must_use]
     pub fn with_traffic(mut self, traffic: TrafficModel) -> Self {
         self.traffic = traffic;
+        self
+    }
+
+    /// The same sweep under the fixed outer levels `outer` (innermost
+    /// first).
+    #[must_use]
+    pub fn with_outer(mut self, outer: &[LevelSpec]) -> Self {
+        self.outer = outer.to_vec();
         self
     }
 }
@@ -393,18 +357,18 @@ impl SweepResult {
     }
 }
 
-/// Memory sizes at or above the kernel's minimum — and, when outer levels
-/// are present, strictly below the first outer capacity (level 0 must stay
-/// the smallest level of the ladder) — in sweep order.
-fn eligible_memories(kernel: &dyn Kernel, cfg: &SweepConfig, outer: &[LevelSpec]) -> Vec<usize> {
-    let floor = kernel.min_memory(cfg.n);
-    let ceiling = outer
+/// The sweep's memory sizes of at least `floor` words — and, when outer
+/// levels are present, strictly below the first outer capacity (level 0
+/// must stay the smallest level of the ladder) — in sweep order.
+fn eligible_memories(cfg: &SweepConfig, floor: u64) -> Vec<usize> {
+    let ceiling = cfg
+        .outer
         .first()
         .map_or(u64::MAX, |level| level.capacity().get());
     cfg.memories
         .iter()
         .copied()
-        .filter(|&m| m >= floor && (m as u64) < ceiling)
+        .filter(|&m| m as u64 >= floor && (m as u64) < ceiling)
         .collect()
 }
 
@@ -459,23 +423,16 @@ fn reject_device_outer(outer: &[LevelSpec]) -> Result<(), KernelError> {
     Ok(())
 }
 
-/// True when a capacity sweep must run on the device-real path: a
-/// non-trivial [`TrafficModel`], or an outer level annotated with its own
-/// line size / write channel (the legacy word path would silently ignore
-/// the annotation).
-fn needs_device_path(cfg: &SweepConfig, outer: &[LevelSpec]) -> bool {
-    !cfg.traffic.is_word_granular_read_priced() || outer.iter().any(LevelSpec::is_device_real)
-}
-
-/// The machine for one sweep point: local memory `m` under the fixed outer
-/// levels (a flat spec when there are none).
+/// The machine for one sweep point: local memory `m`, moving `line`-word
+/// lines, under the fixed outer levels (a flat word-granular spec when
+/// there are none).
 ///
 /// # Errors
 ///
 /// [`KernelError::BadParameters`] when the resulting ladder is malformed
 /// (e.g. a zero local capacity from a `min_memory() == 0` kernel).
-fn machine_for(m: usize, outer: &[LevelSpec]) -> Result<HierarchySpec, KernelError> {
-    if outer.is_empty() {
+fn machine_for(m: usize, line: u64, outer: &[LevelSpec]) -> Result<HierarchySpec, KernelError> {
+    if outer.is_empty() && line == 1 {
         return Ok(HierarchySpec::flat_words(m));
     }
     // m = 0 is possible for a kernel whose min_memory is 0: surface it as
@@ -483,8 +440,9 @@ fn machine_for(m: usize, outer: &[LevelSpec]) -> Result<HierarchySpec, KernelErr
     let bad = |e: &dyn core::fmt::Display| KernelError::BadParameters {
         reason: format!("sweep point M = {m}: {e}"),
     };
-    let local =
-        LevelSpec::new(Words::new(m as u64), WordsPerSec::new(1.0)).map_err(|e| bad(&e))?;
+    let local = LevelSpec::new(Words::new(m as u64), WordsPerSec::new(1.0))
+        .and_then(|l| l.with_line_words(line))
+        .map_err(|e| bad(&e))?;
     let mut levels = vec![local];
     levels.extend_from_slice(outer);
     HierarchySpec::new(levels).map_err(|e| bad(&e))
@@ -523,16 +481,54 @@ fn collect_sweep(
     })
 }
 
-/// Runs `kernel` at every memory size in the sweep; skips sizes below the
-/// kernel's minimum. Every run is verified under the sweep's policy.
+/// The memory sizes a kernel-running sweep measures: at or above the
+/// kernel's minimum and below the outer ceiling, once the outer ladder has
+/// been checked (malformed or device-real ladders are refused).
+fn scheme_memories(kernel: &dyn Kernel, cfg: &SweepConfig) -> Result<Vec<usize>, KernelError> {
+    validate_outer(&cfg.outer)?;
+    reject_device_outer(&cfg.outer)?;
+    Ok(eligible_memories(cfg, kernel.min_memory(cfg.n) as u64))
+}
+
+/// One kernel-running point: the decomposition scheme at local memory `m`
+/// under the outer levels, verified per [`point_verify`].
+fn scheme_point(
+    kernel: &dyn Kernel,
+    cfg: &SweepConfig,
+    idx: usize,
+    m: usize,
+) -> Result<KernelRun, KernelError> {
+    let machine = machine_for(m, 1, &cfg.outer)?;
+    kernel.run_on(cfg.n, &machine, cfg.seed, point_verify(cfg.verify, idx))
+}
+
+/// Runs `kernel`'s decomposition scheme at every memory size in the sweep,
+/// under the outer levels of [`SweepConfig::outer`]; skips sizes below the
+/// kernel's minimum and at or above the first outer capacity. Every run is
+/// verified under the sweep's policy.
+///
+/// Each run's [`KernelRun::execution`] carries one traffic entry per level
+/// (`io_at`, `intensity_at`); the returned `DataPoint`s keep the PE-port
+/// intensity, so every fitting/inversion consumer works unchanged whatever
+/// the ladder.
 ///
 /// # Errors
 ///
 /// Propagates the first kernel failure in sweep order (including
 /// verification failures — a sweep with wrong numerics must not produce
-/// data).
+/// data), plus [`KernelError::BadParameters`] for a malformed or
+/// device-real outer ladder.
 pub fn intensity_sweep(kernel: &dyn Kernel, cfg: &SweepConfig) -> Result<SweepResult, KernelError> {
-    hierarchy_sweep(kernel, cfg, &[])
+    let memories = scheme_memories(kernel, cfg)?;
+    // Lazy map: collect_sweep stops pulling (and thus running) points at
+    // the first failure.
+    collect_sweep(
+        kernel,
+        memories
+            .iter()
+            .enumerate()
+            .map(|(i, &m)| scheme_point(kernel, cfg, i, m)),
+    )
 }
 
 /// [`intensity_sweep`] fanned out over scoped worker threads — bit-identical
@@ -552,62 +548,11 @@ pub fn intensity_sweep_par(
     kernel: &dyn Kernel,
     cfg: &SweepConfig,
 ) -> Result<SweepResult, KernelError> {
-    hierarchy_sweep_par(kernel, cfg, &[])
-}
-
-/// Sweeps the local memory `M_1` over `cfg.memories` while the fixed
-/// `outer` levels sit below it — the hierarchy generalization of
-/// [`intensity_sweep`], and exactly it when `outer` is empty.
-///
-/// Each run's [`KernelRun::execution`] carries one traffic entry per level
-/// (`io_at`, `intensity_at`); the returned `DataPoint`s keep the PE-port
-/// intensity, so every fitting/inversion consumer works unchanged.
-/// Memory sizes at or above the first outer capacity are skipped (level 0
-/// must stay the smallest level), as are sizes below the kernel's minimum.
-///
-/// # Errors
-///
-/// As [`intensity_sweep`], plus [`KernelError::BadParameters`] for a
-/// malformed `outer` ladder.
-pub fn hierarchy_sweep(
-    kernel: &dyn Kernel,
-    cfg: &SweepConfig,
-    outer: &[LevelSpec],
-) -> Result<SweepResult, KernelError> {
-    validate_outer(outer)?;
-    reject_device_outer(outer)?;
-    let memories = eligible_memories(kernel, cfg, outer);
-    // Lazy map: collect_sweep stops pulling (and thus running) points at
-    // the first failure.
+    let memories = scheme_memories(kernel, cfg)?;
     collect_sweep(
         kernel,
-        memories.iter().enumerate().map(|(i, &m)| {
-            let machine = machine_for(m, outer)?;
-            kernel.run_on(cfg.n, &machine, cfg.seed, point_verify(cfg.verify, i))
-        }),
+        par_map(&memories, |i, &m| scheme_point(kernel, cfg, i, m)),
     )
-}
-
-/// [`hierarchy_sweep`] fanned out over scoped worker threads (the same
-/// executor as [`intensity_sweep_par`] — bit-identical points, first error
-/// in sweep order).
-///
-/// # Errors
-///
-/// As [`hierarchy_sweep`].
-pub fn hierarchy_sweep_par(
-    kernel: &dyn Kernel,
-    cfg: &SweepConfig,
-    outer: &[LevelSpec],
-) -> Result<SweepResult, KernelError> {
-    validate_outer(outer)?;
-    reject_device_outer(outer)?;
-    let memories = eligible_memories(kernel, cfg, outer);
-    let results = par_map(&memories, |i, &m| {
-        let machine = machine_for(m, outer)?;
-        kernel.run_on(cfg.n, &machine, cfg.seed, point_verify(cfg.verify, i))
-    });
-    collect_sweep(kernel, results)
 }
 
 /// The kernel's canonical trace, or the documented error for kernels (or
@@ -625,16 +570,17 @@ fn trace_for(kernel: &dyn Kernel, n: usize) -> Result<AccessTrace, KernelError> 
 }
 
 /// One cache-model sweep point as a [`KernelRun`]: the traced
-/// computation's op count over the model's miss volume. The peak-memory
-/// field reports the configured capacity (the model cache owns all of
-/// `M`); both engines build points through here, so engine bit-identity
-/// is structural.
-fn capacity_run(n: usize, m: usize, comp_ops: u64, traffic: &[u64]) -> KernelRun {
+/// computation's op count over the model's per-boundary read and
+/// write-back words (all-zero write-backs on the word path, where the dual
+/// ledger equals the plain one). The peak-memory field reports the
+/// configured capacity (the model cache owns all of `M`); every engine
+/// builds points through here, so engine bit-identity is structural.
+fn capacity_run(n: usize, m: usize, comp_ops: u64, reads: &[u64], wbs: &[u64]) -> KernelRun {
     KernelRun {
         n,
         m,
         execution: Execution::new(
-            CostProfile::with_levels(comp_ops, traffic),
+            CostProfile::with_dual_levels(comp_ops, reads, wbs),
             Words::new(m as u64),
         ),
     }
@@ -642,170 +588,277 @@ fn capacity_run(n: usize, m: usize, comp_ops: u64, traffic: &[u64]) -> KernelRun
 
 /// Measures the **cache-model** intensity curve `r(M) = C_comp /
 /// misses(M)`: the kernel's canonical trace ([`Kernel::access_trace`])
-/// replayed through a word-granular LRU of each sweep capacity. Emits
-/// [`SweepResult`] / [`DataPoint`]s exactly like [`intensity_sweep`] —
-/// same shapes, fitting and inversion machinery — but measures the
+/// replayed through an LRU of each sweep capacity, with every level of
+/// [`SweepConfig::outer`] cache-managed too (the trace-driven
+/// configuration of [`Hierarchy`]) and one traffic entry per boundary.
+/// Emits [`SweepResult`] / [`DataPoint`]s exactly like [`intensity_sweep`]
+/// — same shapes, fitting and inversion machinery — but measures the
 /// automatically-managed memory instead of the explicit decomposition
 /// scheme (the E13 ablation's other half; the curves differ wherever LRU
 /// falls short of the paper's blocking).
 ///
-/// Under [`Engine::StackDist`] the whole sweep costs **one replay**:
-/// Mattson stack-distance accounting answers every capacity from a single
-/// histogram, bit-identically to the per-`M` [`Engine::Replay`] (pinned by
-/// property test across the registry). Capacities of zero are skipped (a
-/// cache needs a word); `cfg.verify` is ignored (a trace replay has no
-/// numerics to verify).
+/// LRU inclusion makes every boundary's traffic exactly the misses at that
+/// level's capacity, so under [`Engine::StackDist`] the whole sweep — every
+/// point and every boundary — costs **one replay**: Mattson stack-distance
+/// accounting answers every capacity from a single histogram,
+/// bit-identically to [`Engine::Replay`], which replays the trace through
+/// an actual cache or ladder per point, fanned out over [`par_map`]
+/// (pinned by property test across the registry). Capacities of zero are
+/// skipped (a cache needs a word); `cfg.verify` is ignored (a trace replay
+/// has no numerics to verify).
+///
+/// Under a device-real model — a non-trivial [`SweepConfig::traffic`], or
+/// an outer level annotated with its own line size or write channel — each
+/// boundary carries a dual read/write-back ledger, and capacities smaller
+/// than one line are skipped (a cache that cannot hold a single line is
+/// not a capacity point). Only [`Engine::Replay`] and the one-pass tagged
+/// engine price that model ([`Engine::Analytic`] declines to the latter),
+/// unbudgeted, and the one-pass engine only at a uniform line size across
+/// the ladder.
 ///
 /// # Errors
 ///
 /// [`KernelError::BadParameters`] when the kernel has no canonical trace
-/// at `cfg.n`.
+/// at `cfg.n`, for a malformed outer ladder or line size, and for every
+/// engine, model, policy and ladder combination the device-real model
+/// cannot price (the message names the engine or the model); budgeted and
+/// checkpointed sweeps fail as [`robust_capacity_profile`] does.
 pub fn capacity_sweep(kernel: &dyn Kernel, cfg: &SweepConfig) -> Result<SweepResult, KernelError> {
-    hierarchy_capacity_sweep(kernel, cfg, &[])
-}
-
-/// [`capacity_sweep`] with the per-`M` replays fanned out over worker
-/// threads ([`par_map`]) — meaningful for [`Engine::Replay`] only; the
-/// one-pass engine is a single replay with nothing to fan out and runs
-/// identically to the serial executor. Bit-identical points either way.
-///
-/// # Errors
-///
-/// As [`capacity_sweep`].
-pub fn capacity_sweep_par(
-    kernel: &dyn Kernel,
-    cfg: &SweepConfig,
-) -> Result<SweepResult, KernelError> {
-    hierarchy_capacity_sweep_par(kernel, cfg, &[])
-}
-
-/// Capacities eligible for a capacity sweep: positive, and below the
-/// first outer level so level 0 stays the smallest level of the ladder.
-fn eligible_capacities(cfg: &SweepConfig, outer: &[LevelSpec]) -> Vec<usize> {
-    let ceiling = outer
-        .first()
-        .map_or(u64::MAX, |level| level.capacity().get());
-    cfg.memories
-        .iter()
-        .copied()
-        .filter(|&m| m >= 1 && (m as u64) < ceiling)
-        .collect()
-}
-
-/// The multi-level one-pass sweep: level 0's capacity sweeps over
-/// `cfg.memories` under the fixed `outer` levels, **all levels
-/// cache-managed** (the trace-driven configuration of
-/// [`Hierarchy`]), each run carrying one traffic entry per
-/// boundary. LRU inclusion makes every boundary's traffic exactly the
-/// misses at that level's capacity, so [`Engine::StackDist`] reads the
-/// whole ladder — and the whole sweep — off one histogram;
-/// [`Engine::Replay`] replays the trace through an actual ladder per
-/// point (bit-identical, pinned by property test).
-///
-/// # Errors
-///
-/// As [`capacity_sweep`], plus [`KernelError::BadParameters`] for a
-/// malformed `outer` ladder.
-pub fn hierarchy_capacity_sweep(
-    kernel: &dyn Kernel,
-    cfg: &SweepConfig,
-    outer: &[LevelSpec],
-) -> Result<SweepResult, KernelError> {
-    validate_outer(outer)?;
-    if needs_device_path(cfg, outer) {
-        return device_capacity_points(kernel, cfg, outer, false);
-    }
-    let memories = eligible_capacities(cfg, outer);
-    match cfg.engine {
-        // A budgeted/checkpointed Replay routes through the profile path:
-        // per-point cache replays have no resumable snapshot, and the
-        // one-pass engine is bit-identical (the substitution is recorded
-        // in the result's provenance).
-        Engine::Replay if cfg.budget.is_none() && cfg.checkpoint.is_none() => collect_sweep(
-            kernel,
-            memories
-                .iter()
-                .map(|&m| capacity_point_replay(kernel, cfg, outer, m)),
-        ),
-        engine => capacity_points_profile(kernel, cfg, outer, &memories, engine),
-    }
-}
-
-/// [`hierarchy_capacity_sweep`] with per-`M` replays on worker threads
-/// (see [`capacity_sweep_par`]).
-///
-/// # Errors
-///
-/// As [`hierarchy_capacity_sweep`].
-pub fn hierarchy_capacity_sweep_par(
-    kernel: &dyn Kernel,
-    cfg: &SweepConfig,
-    outer: &[LevelSpec],
-) -> Result<SweepResult, KernelError> {
-    validate_outer(outer)?;
-    if needs_device_path(cfg, outer) {
-        return device_capacity_points(kernel, cfg, outer, true);
-    }
-    let memories = eligible_capacities(cfg, outer);
-    match cfg.engine {
-        Engine::Replay if cfg.budget.is_none() && cfg.checkpoint.is_none() => collect_sweep(
+    validate_outer(&cfg.outer)?;
+    let plan = capacity_plan(cfg)?;
+    let memories = eligible_memories(cfg, plan.device.map_or(1, |model| model.line_words));
+    if plan.replay {
+        collect_sweep(
             kernel,
             par_map(&memories, |_, &m| {
-                capacity_point_replay(kernel, cfg, outer, m)
+                capacity_point_replay(kernel, cfg, plan.device, m)
             }),
-        ),
-        engine => capacity_points_profile(kernel, cfg, outer, &memories, engine),
+        )
+    } else {
+        capacity_points_profile(kernel, cfg, plan.device, &memories)
     }
 }
 
-/// One replay-engine point: the canonical trace through an actual
-/// one-level [`LruCache`] (flat) or [`Hierarchy`] ladder of capacity `m`
-/// under the outer levels.
+/// How [`capacity_sweep`] measures its points, as [`capacity_plan`]
+/// decides.
+#[derive(Debug, Clone, Copy)]
+struct CapacityPlan {
+    /// The device-real model to price, or `None` on the word path.
+    device: Option<TrafficModel>,
+    /// Per-point replays through actual LRU state rather than one profile
+    /// pass.
+    replay: bool,
+}
+
+/// The capacity sweep's refusal table: which `(engine, traffic model,
+/// budget/checkpoint policy, ladder)` combinations run, and how.
+///
+/// The word path — the word-granular read-priced model over a ladder
+/// without device-real annotations — runs every engine under any policy.
+/// A budgeted or checkpointed [`Engine::Replay`] routes through the profile
+/// path: per-point cache replays have no resumable snapshot, and the
+/// one-pass engine is bit-identical (the substitution is recorded in the
+/// result's provenance).
+///
+/// Everything else is device-real: a non-trivial [`TrafficModel`], or an
+/// outer level annotated with its own line size or write channel (the word
+/// path would silently ignore the annotation). Per engine:
+///
+/// * [`Engine::Replay`] replays the tagged trace through actual
+///   line-granular dirty-bit LRU state per point;
+/// * [`Engine::StackDist`] answers the whole sweep from **one** tagged
+///   replay via [`TrafficProfile`] — bit-identical to the per-point
+///   replays, but only at a **uniform** line size: LRU inclusion (the
+///   Mattson stack property the whole-ladder read rests on) holds
+///   level-to-level only when every level tracks the same lines, so a
+///   mixed-line ladder is refused and needs [`Engine::Replay`];
+/// * [`Engine::Analytic`]'s closed forms are word-granular read-priced
+///   derivations, so the tier **declines** device-real models and the
+///   one-pass tagged engine answers instead (exact, just not free);
+/// * [`Engine::StackDistPar`] and [`Engine::Sampled`] are word-granular
+///   machinery (segment merges and hash sampling carry no dirty state)
+///   and are refused outright rather than silently mispriced;
+/// * budgets and checkpoints are refused on every engine: the resumable
+///   replay drivers stream untagged addresses.
+///
+/// # Errors
+///
+/// [`KernelError::BadParameters`] naming the malformed line size, or the
+/// refused engine or model.
+fn capacity_plan(cfg: &SweepConfig) -> Result<CapacityPlan, KernelError> {
+    let model = cfg.traffic;
+    let policy = cfg.budget.is_some() || cfg.checkpoint.is_some();
+    if model.is_word_granular_read_priced() && !cfg.outer.iter().any(LevelSpec::is_device_real) {
+        return Ok(CapacityPlan {
+            device: None,
+            replay: cfg.engine == Engine::Replay && !policy,
+        });
+    }
+    let bad = |reason: String| Err(KernelError::BadParameters { reason });
+    // The same rule as `LevelSpec::with_line_words` (zero is no power of
+    // two).
+    if !model.line_words.is_power_of_two() {
+        return bad(format!(
+            "line size must be a positive power of two words, got {}",
+            model.line_words
+        ));
+    }
+    if policy {
+        return bad(format!(
+            "budgets and checkpoints are word-granular machinery (the resumable replay \
+             drivers stream untagged addresses); the device-real traffic model \
+             (line_words = {}, writebacks = {}) runs unbudgeted",
+            model.line_words, model.writebacks
+        ));
+    }
+    match cfg.engine {
+        Engine::StackDistPar { .. } | Engine::Sampled { .. } => {
+            return bad(format!(
+                "engine {} is word-granular read-priced machinery; the device-real traffic \
+                 model (line_words = {}, writebacks = {}) needs `replay` or `stackdist`",
+                engine_spec(cfg.engine),
+                model.line_words,
+                model.writebacks
+            ));
+        }
+        Engine::StackDist | Engine::Analytic => {
+            let mixed = cfg
+                .outer
+                .iter()
+                .map(|level| effective_line(model, level))
+                .find(|&line| line != model.line_words);
+            if let Some(line) = mixed {
+                return bad(format!(
+                    "the one-pass tagged engine needs a uniform line size across the \
+                     ladder (sweep model {} words, outer level {line} words); use engine \
+                     `replay` for mixed-line ladders",
+                    model.line_words
+                ));
+            }
+        }
+        Engine::Replay => {}
+    }
+    Ok(CapacityPlan {
+        device: Some(model),
+        replay: cfg.engine == Engine::Replay,
+    })
+}
+
+/// One replay-engine point: the canonical trace through actual LRU state
+/// of capacity `m` — a flat [`LruCache`] on the direct-indexed backend, or
+/// a [`Hierarchy`] ladder under the outer levels. The word path streams
+/// untagged addresses; on the device path (`device` is the priced model)
+/// the state is line-granular with dirty bits, each ladder level at its
+/// [`effective_line`] size.
 fn capacity_point_replay(
     kernel: &dyn Kernel,
     cfg: &SweepConfig,
-    outer: &[LevelSpec],
+    device: Option<TrafficModel>,
     m: usize,
 ) -> Result<KernelRun, KernelError> {
     let trace = trace_for(kernel, cfg.n)?;
     let comp = trace.comp_ops();
-    let traffic = if outer.is_empty() {
-        let mut cache = LruCache::with_address_bound(m, 1, trace.addr_bound());
-        vec![cache.run_trace(trace.into_addrs())]
-    } else {
-        let mut caps = vec![Words::new(m as u64)];
-        caps.extend(outer.iter().map(|l| l.capacity()));
-        let mut ladder = Hierarchy::new(&caps);
-        ladder.run_trace(trace.into_addrs()).as_slice().to_vec()
+    let bound = trace.addr_bound();
+    let (reads, wbs): (Vec<u64>, Vec<u64>) = match device {
+        None if cfg.outer.is_empty() => {
+            let mut cache = LruCache::with_address_bound(m, 1, bound);
+            (vec![cache.run_trace(trace.into_addrs())], vec![0])
+        }
+        None => {
+            let mut caps = vec![Words::new(m as u64)];
+            caps.extend(cfg.outer.iter().map(LevelSpec::capacity));
+            let mut ladder = Hierarchy::new(&caps);
+            let reads = ladder.run_trace(trace.into_addrs()).as_slice().to_vec();
+            let wbs = vec![0; reads.len()];
+            (reads, wbs)
+        }
+        Some(model) if cfg.outer.is_empty() => {
+            let lw = model.line_words;
+            let mut cache = LruCache::with_address_bound(m / lw as usize, lw, bound);
+            let _ = cache.run_tagged_trace(device_accesses(trace, model));
+            (vec![cache.miss_words()], vec![cache.writeback_words()])
+        }
+        Some(model) => {
+            let outer = cfg
+                .outer
+                .iter()
+                .map(|level| level.with_line_words(effective_line(model, level)))
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(|e| KernelError::BadParameters {
+                    reason: format!("sweep point M = {m}: {e}"),
+                })?;
+            let spec = machine_for(m, model.line_words, &outer)?;
+            let mut ladder = Hierarchy::from_spec_device(&spec);
+            let traffic = ladder.run_tagged_trace(device_accesses(trace, model));
+            (0..traffic.len())
+                .map(|i| {
+                    (
+                        traffic.read_at(i).unwrap_or(0),
+                        traffic.writeback_at(i).unwrap_or(0),
+                    )
+                })
+                .unzip()
+        }
     };
-    Ok(capacity_run(cfg.n, m, comp, &traffic))
+    Ok(capacity_run(cfg.n, m, comp, &reads, &wbs))
 }
 
-/// All profile-engine points from **one pass**: the reuse profile is
-/// built once (serially, segmented-parallel, or sampled, per `engine`),
-/// then every sweep capacity (and every outer boundary) is an O(1) read.
+/// A sweep's whole capacity curve from one pass: word-granular misses, or
+/// device-real reads plus write-backs.
+enum Curve {
+    Words(CapacityProfile),
+    Lines(TrafficProfile),
+}
+
+impl Curve {
+    /// Read (fetch) and write-back words at `capacity`.
+    fn at(&self, capacity: u64) -> (u64, u64) {
+        match self {
+            Curve::Words(profile) => (profile.misses_at(capacity), 0),
+            Curve::Lines(tp) => (tp.read_words_at(capacity), tp.writeback_words_at(capacity)),
+        }
+    }
+}
+
+/// All profile-engine points from **one pass**: the curve is built once —
+/// on the word path serially, segmented-parallel, sampled or analytically
+/// per `cfg.engine` (through the degradation ladder when budgeted or
+/// checkpointed), on the device path by one tagged replay — then every
+/// sweep capacity and every outer boundary is an O(1) read.
 fn capacity_points_profile(
     kernel: &dyn Kernel,
     cfg: &SweepConfig,
-    outer: &[LevelSpec],
+    device: Option<TrafficModel>,
     memories: &[usize],
-    engine: Engine,
 ) -> Result<SweepResult, KernelError> {
-    let (profile, provenance) = if cfg.budget.is_some() || cfg.checkpoint.is_some() {
-        let no_faults = FaultPlan::none();
-        let robust_cfg = cfg.clone().with_engine(engine);
-        let (profile, prov) = robust_capacity_profile(kernel, &robust_cfg, &no_faults)?;
-        (profile, Some(prov))
-    } else {
-        (capacity_profile(kernel, cfg.n, engine)?, None)
+    let (curve, provenance) = match device {
+        Some(model) => {
+            let trace = trace_for(kernel, cfg.n)?;
+            let bound = trace.addr_bound();
+            let accesses = device_accesses(trace, model);
+            let tp = match direct_bound(bound) {
+                Some(b) => StackDistance::traffic_profile_of_bounded(accesses, model.line_words, b),
+                None => StackDistance::traffic_profile_of(accesses, model.line_words),
+            };
+            (Curve::Lines(tp), None)
+        }
+        None if cfg.budget.is_some() || cfg.checkpoint.is_some() => {
+            let (profile, prov) = robust_capacity_profile(kernel, cfg, &FaultPlan::none())?;
+            (Curve::Words(profile), Some(prov))
+        }
+        None => (
+            Curve::Words(capacity_profile(kernel, cfg.n, cfg.engine)?),
+            None,
+        ),
     };
     let comp = trace_for(kernel, cfg.n)?.comp_ops();
     let mut result = collect_sweep(
         kernel,
         memories.iter().map(|&m| {
-            let mut traffic = vec![profile.misses_at(m as u64)];
-            traffic.extend(outer.iter().map(|l| profile.misses_at(l.capacity().get())));
-            Ok(capacity_run(cfg.n, m, comp, &traffic))
+            let capacities =
+                std::iter::once(m as u64).chain(cfg.outer.iter().map(|l| l.capacity().get()));
+            let (reads, wbs): (Vec<u64>, Vec<u64>) = capacities.map(|c| curve.at(c)).unzip();
+            Ok(capacity_run(cfg.n, m, comp, &reads, &wbs))
         }),
     )?;
     result.provenance = provenance;
@@ -841,196 +894,6 @@ fn device_accesses(trace: AccessTrace, model: TrafficModel) -> Box<dyn Iterator<
     } else {
         Box::new(trace.into_addrs().map(Access::read))
     }
-}
-
-/// One device-real sweep point as a [`KernelRun`]: dual-ledger traffic
-/// (read words + write-back words per boundary) under the traced
-/// computation's op count. The device counterpart of [`capacity_run`];
-/// both engines build points through here, so engine bit-identity is
-/// structural here too.
-fn device_capacity_run(n: usize, m: usize, comp_ops: u64, reads: &[u64], wbs: &[u64]) -> KernelRun {
-    KernelRun {
-        n,
-        m,
-        execution: Execution::new(
-            CostProfile::with_dual_levels(comp_ops, reads, wbs),
-            Words::new(m as u64),
-        ),
-    }
-}
-
-/// The device-real capacity executor: every sweep under a non-trivial
-/// [`TrafficModel`] routes here (the word-granular read-priced model
-/// never does — its sweeps run the untouched exact paths bit for bit).
-///
-/// Engine gating, per tier:
-///
-/// * [`Engine::Replay`] replays the tagged trace through actual
-///   line-granular dirty-bit LRU state per point (fanned out over
-///   workers when `par`);
-/// * [`Engine::StackDist`] answers the whole sweep from **one** tagged
-///   replay via [`TrafficProfile`](balance_machine::TrafficProfile) —
-///   bit-identical to the per-point replays (pinned by test);
-/// * [`Engine::Analytic`]'s closed forms are word-granular read-priced
-///   derivations, so the tier **declines** device-real models and the
-///   one-pass tagged engine answers instead (exact, just not free);
-/// * [`Engine::StackDistPar`] and [`Engine::Sampled`] are word-granular
-///   machinery (segment merges and hash sampling carry no dirty state)
-///   and are refused outright rather than silently mispriced.
-///
-/// Sweep capacities smaller than one line are skipped — a cache that
-/// cannot hold a single line is not a capacity point.
-///
-/// # Errors
-///
-/// [`KernelError::BadParameters`] for a malformed line size, a refused
-/// engine, a budget/checkpoint policy (the resumable drivers replay
-/// untagged addresses — word-granular machinery), or a kernel without a
-/// canonical trace at `cfg.n`.
-fn device_capacity_points(
-    kernel: &dyn Kernel,
-    cfg: &SweepConfig,
-    outer: &[LevelSpec],
-    par: bool,
-) -> Result<SweepResult, KernelError> {
-    let model = cfg.traffic;
-    model.validate()?;
-    let bad = |reason: String| KernelError::BadParameters { reason };
-    if cfg.budget.is_some() || cfg.checkpoint.is_some() {
-        return Err(bad(format!(
-            "budgets and checkpoints are word-granular machinery (the resumable replay \
-             drivers stream untagged addresses); the device-real traffic model \
-             (line_words = {}, writebacks = {}) runs unbudgeted",
-            model.line_words, model.writebacks
-        )));
-    }
-    let memories: Vec<usize> = eligible_capacities(cfg, outer)
-        .into_iter()
-        .filter(|&m| m as u64 >= model.line_words)
-        .collect();
-    match cfg.engine {
-        Engine::StackDistPar { .. } | Engine::Sampled { .. } => Err(bad(format!(
-            "engine {} is word-granular read-priced machinery; the device-real traffic \
-             model (line_words = {}, writebacks = {}) needs `replay` or `stackdist`",
-            engine_spec(cfg.engine),
-            model.line_words,
-            model.writebacks
-        ))),
-        Engine::Replay if par => collect_sweep(
-            kernel,
-            par_map(&memories, |_, &m| device_point_replay(kernel, cfg, outer, m)),
-        ),
-        Engine::Replay => collect_sweep(
-            kernel,
-            memories
-                .iter()
-                .map(|&m| device_point_replay(kernel, cfg, outer, m)),
-        ),
-        Engine::StackDist | Engine::Analytic => device_points_profile(kernel, cfg, outer, &memories),
-    }
-}
-
-/// One device-real replay point: the tagged trace through actual
-/// line-granular dirty-bit LRU state of capacity `m` (a flat
-/// [`LruCache`] on the direct-indexed backend, or a
-/// [`Hierarchy::from_spec_device`] ladder under outer levels, each level
-/// at its [`effective_line`] size).
-fn device_point_replay(
-    kernel: &dyn Kernel,
-    cfg: &SweepConfig,
-    outer: &[LevelSpec],
-    m: usize,
-) -> Result<KernelRun, KernelError> {
-    let model = cfg.traffic;
-    let lw = model.line_words;
-    let trace = trace_for(kernel, cfg.n)?;
-    let comp = trace.comp_ops();
-    let bound = trace.addr_bound();
-    if outer.is_empty() {
-        let lines = usize::try_from(m as u64 / lw)
-            .unwrap_or_else(|_| panic!("capacity {m} overflows the line count"));
-        let mut cache = LruCache::with_address_bound(lines, lw, bound);
-        let _ = cache.run_tagged_trace(device_accesses(trace, model));
-        return Ok(device_capacity_run(
-            cfg.n,
-            m,
-            comp,
-            &[cache.miss_words()],
-            &[cache.writeback_words()],
-        ));
-    }
-    let bad = |e: &dyn core::fmt::Display| KernelError::BadParameters {
-        reason: format!("sweep point M = {m}: {e}"),
-    };
-    let local = LevelSpec::new(Words::new(m as u64), WordsPerSec::new(1.0))
-        .and_then(|l| l.with_line_words(lw))
-        .map_err(|e| bad(&e))?;
-    let mut levels = vec![local];
-    for level in outer {
-        levels.push(
-            level
-                .with_line_words(effective_line(model, level))
-                .map_err(|e| bad(&e))?,
-        );
-    }
-    let spec = HierarchySpec::new(levels).map_err(|e| bad(&e))?;
-    let mut ladder = Hierarchy::from_spec_device(&spec);
-    let traffic = ladder.run_tagged_trace(device_accesses(trace, model));
-    let depth = traffic.len();
-    let reads: Vec<u64> = (0..depth).map(|i| traffic.read_at(i).unwrap_or(0)).collect();
-    let wbs: Vec<u64> = (0..depth)
-        .map(|i| traffic.writeback_at(i).unwrap_or(0))
-        .collect();
-    Ok(device_capacity_run(cfg.n, m, comp, &reads, &wbs))
-}
-
-/// All device-real profile points from **one** tagged replay: a
-/// [`TrafficProfile`](balance_machine::TrafficProfile) answers every
-/// capacity's read misses and write-backs in O(1).
-///
-/// The one-pass read is only sound at a **uniform** line size: LRU
-/// inclusion (the Mattson stack property the whole-ladder read rests on)
-/// holds level-to-level only when every level tracks the same lines, so
-/// a mixed-line ladder is refused here and needs [`Engine::Replay`].
-fn device_points_profile(
-    kernel: &dyn Kernel,
-    cfg: &SweepConfig,
-    outer: &[LevelSpec],
-    memories: &[usize],
-) -> Result<SweepResult, KernelError> {
-    let model = cfg.traffic;
-    for level in outer {
-        let eff = effective_line(model, level);
-        if eff != model.line_words {
-            return Err(KernelError::BadParameters {
-                reason: format!(
-                    "the one-pass tagged engine needs a uniform line size across the \
-                     ladder (sweep model {} words, outer level {} words); use engine \
-                     `replay` for mixed-line ladders",
-                    model.line_words, eff
-                ),
-            });
-        }
-    }
-    let trace = trace_for(kernel, cfg.n)?;
-    let comp = trace.comp_ops();
-    let bound = trace.addr_bound();
-    let accesses = device_accesses(trace, model);
-    let tp = match direct_bound(bound) {
-        Some(b) => StackDistance::traffic_profile_of_bounded(accesses, model.line_words, b),
-        None => StackDistance::traffic_profile_of(accesses, model.line_words),
-    };
-    collect_sweep(
-        kernel,
-        memories.iter().map(|&m| {
-            let capacities =
-                std::iter::once(m as u64).chain(outer.iter().map(|l| l.capacity().get()));
-            let (reads, wbs): (Vec<u64>, Vec<u64>) = capacities
-                .map(|c| (tp.read_words_at(c), tp.writeback_words_at(c)))
-                .unzip();
-            Ok(device_capacity_run(cfg.n, m, comp, &reads, &wbs))
-        }),
-    )
 }
 
 /// Builds the kernel's [`CapacityProfile`] on the requested profile
@@ -1802,7 +1665,7 @@ mod tests {
     fn hierarchy_sweep_with_no_outer_levels_is_intensity_sweep() {
         let cfg = SweepConfig::pow2(32, 5, 9, 11);
         let flat = intensity_sweep(&MatMul, &cfg).unwrap();
-        let hier = hierarchy_sweep(&MatMul, &cfg, &[]).unwrap();
+        let hier = intensity_sweep(&MatMul, &cfg.clone().with_outer(&[])).unwrap();
         assert_eq!(flat.runs, hier.runs);
     }
 
@@ -1810,7 +1673,7 @@ mod tests {
     fn hierarchy_sweep_reports_inclusive_per_level_traffic() {
         let cfg = SweepConfig::pow2(24, 5, 8, 3);
         let outer = outer_levels(&[1024, 4096]);
-        let result = hierarchy_sweep(&MatMul, &cfg, &outer).unwrap();
+        let result = intensity_sweep(&MatMul, &cfg.clone().with_outer(&outer)).unwrap();
         assert!(!result.runs.is_empty());
         for run in &result.runs {
             assert_eq!(run.execution.cost.level_count(), 3, "m = {}", run.m);
@@ -1829,7 +1692,7 @@ mod tests {
         // every DataPoint) is identical to the flat sweep.
         let cfg = SweepConfig::pow2(24, 5, 8, 3);
         let flat = intensity_sweep(&MatMul, &cfg).unwrap();
-        let hier = hierarchy_sweep(&MatMul, &cfg, &outer_levels(&[4096])).unwrap();
+        let hier = intensity_sweep(&MatMul, &cfg.clone().with_outer(&outer_levels(&[4096]))).unwrap();
         assert_eq!(flat.points.len(), hier.points.len());
         for (f, h) in flat.points.iter().zip(&hier.points) {
             assert_eq!(f.memory.to_bits(), h.memory.to_bits());
@@ -1841,8 +1704,8 @@ mod tests {
     fn hierarchy_sweep_par_is_bit_identical_to_serial() {
         let cfg = SweepConfig::pow2(24, 5, 9, 5);
         let outer = outer_levels(&[2048]);
-        let serial = hierarchy_sweep(&MatMul, &cfg, &outer).unwrap();
-        let par = hierarchy_sweep_par(&MatMul, &cfg, &outer).unwrap();
+        let serial = intensity_sweep(&MatMul, &cfg.clone().with_outer(&outer)).unwrap();
+        let par = intensity_sweep_par(&MatMul, &cfg.clone().with_outer(&outer)).unwrap();
         assert_eq!(serial.runs, par.runs);
     }
 
@@ -1856,7 +1719,7 @@ mod tests {
             engine: Engine::Replay,
             ..SweepConfig::default()
         };
-        let result = hierarchy_sweep(&MatMul, &cfg, &outer_levels(&[128])).unwrap();
+        let result = intensity_sweep(&MatMul, &cfg.with_outer(&outer_levels(&[128]))).unwrap();
         let ms: Vec<usize> = result.runs.iter().map(|r| r.m).collect();
         assert_eq!(ms, vec![16, 64]);
     }
@@ -1881,7 +1744,7 @@ mod tests {
             assert_eq!(r.ratio.to_bits(), o.ratio.to_bits());
         }
         // The parallel executor matches both.
-        let par = capacity_sweep_par(&MatMul, &cfg).unwrap();
+        let par = capacity_sweep(&MatMul, &cfg).unwrap();
         assert_eq!(replay.runs, par.runs);
         // The segmented parallel engine is bit-identical too, at any
         // thread count (including auto and absurd oversubscription).
@@ -1930,36 +1793,52 @@ mod tests {
         }
     }
 
+    /// A sweep of `kernel`-agnostic shape: `points` memory sizes at size
+    /// `n` (the sizes themselves do not matter to [`Engine::auto`]).
+    fn points_cfg(n: usize, points: usize) -> SweepConfig {
+        SweepConfig {
+            n,
+            memories: vec![64; points],
+            ..SweepConfig::default()
+        }
+    }
+
     #[test]
     fn engine_auto_for_escalates_on_trace_length() {
-        assert_eq!(Engine::auto_for(8, 1 << 20), Engine::StackDist);
+        // fft derives no analytic profile, so its trace length decides:
+        // 4·n·log₂n addresses, 2^22 below and 3.7×10⁸ above the threshold.
+        let fft = crate::fft::Fft;
+        let (short, long) = (1 << 16, 1 << 22);
+        assert!(fft.access_trace(short).unwrap().len() < AUTO_SEGMENT_LEN);
+        assert!(fft.access_trace(long).unwrap().len() >= AUTO_SEGMENT_LEN);
+        assert_eq!(Engine::auto(&fft, &points_cfg(short, 8)), Engine::StackDist);
         assert_eq!(
-            Engine::auto_for(8, AUTO_SEGMENT_LEN),
+            Engine::auto(&fft, &points_cfg(long, 8)),
             Engine::StackDistPar { threads: 0 }
         );
         // Few points: replay stays cheapest regardless of length.
-        assert_eq!(Engine::auto_for(2, 1 << 40), Engine::Replay);
+        assert_eq!(Engine::auto(&fft, &points_cfg(long, 2)), Engine::Replay);
     }
 
     #[test]
     fn engine_auto_for_kernel_grows_the_analytic_tier() {
         // Kernels with a derived histogram get it at any point count —
         // exact and free beats everything.
-        assert_eq!(Engine::auto_for_kernel(16, &MatMul, 8), Engine::Analytic);
-        assert_eq!(Engine::auto_for_kernel(2, &MatMul, 8), Engine::Analytic);
+        assert_eq!(Engine::auto(&MatMul, &points_cfg(8, 16)), Engine::Analytic);
+        assert_eq!(Engine::auto(&MatMul, &points_cfg(8, 2)), Engine::Analytic);
         // Without one (fft), selection falls back to the trace-length
         // escalation...
         assert_eq!(
-            Engine::auto_for_kernel(16, &crate::fft::Fft, 8),
+            Engine::auto(&crate::fft::Fft, &points_cfg(8, 16)),
             Engine::StackDist
         );
         // ...and to the point-count rule when there is no trace either.
         assert_eq!(
-            Engine::auto_for_kernel(16, &crate::fft::Fft, 9),
+            Engine::auto(&crate::fft::Fft, &points_cfg(9, 16)),
             Engine::StackDist
         );
         assert_eq!(
-            Engine::auto_for_kernel(2, &crate::fft::Fft, 9),
+            Engine::auto(&crate::fft::Fft, &points_cfg(9, 2)),
             Engine::Replay
         );
     }
@@ -2021,7 +1900,7 @@ mod tests {
         let onepass =
             capacity_sweep(&MatMul, &cfg.clone().with_engine(Engine::StackDist)).unwrap();
         assert_eq!(replay.runs, onepass.runs);
-        let par = capacity_sweep_par(&MatMul, &cfg).unwrap();
+        let par = capacity_sweep(&MatMul, &cfg).unwrap();
         assert_eq!(replay.runs, par.runs);
         // A device run carries the dual ledger: the scalar view is the
         // sum of the streams, and matmul's C stores make the ledger
@@ -2106,16 +1985,16 @@ mod tests {
         // would refuse (or misprice) it.
         let device = TrafficModel::device(4);
         assert_eq!(
-            Engine::auto_for_model(16, &MatMul, 12, device),
+            Engine::auto(&MatMul, &points_cfg(12, 16).with_traffic(device)),
             Engine::StackDist
         );
         assert_eq!(
-            Engine::auto_for_model(2, &MatMul, 12, device),
+            Engine::auto(&MatMul, &points_cfg(12, 2).with_traffic(device)),
             Engine::Replay
         );
-        // Under the word model it is exactly auto_for_kernel.
+        // Under the word model the analytic tier wins.
         assert_eq!(
-            Engine::auto_for_model(16, &MatMul, 12, TrafficModel::WORD),
+            Engine::auto(&MatMul, &points_cfg(12, 16).with_traffic(TrafficModel::WORD)),
             Engine::Analytic
         );
     }
@@ -2143,6 +2022,95 @@ mod tests {
                 other => panic!("expected BadParameters, got {other}"),
             }
         }
+    }
+
+    /// The capacity sweep's refusal table, case by case: every engine ×
+    /// traffic model × policy × ladder either reproduces the per-point
+    /// `Replay` result bit for bit or is refused with a `BadParameters`
+    /// naming the engine or the model — never a panic, never a silently
+    /// different number.
+    #[test]
+    fn capacity_refusal_table_is_total() {
+        let engines = [
+            Engine::Replay,
+            Engine::StackDist,
+            Engine::StackDistPar { threads: 2 },
+            Engine::Sampled { shift: 0 },
+            Engine::Analytic,
+        ];
+        let models = [
+            TrafficModel::WORD,
+            TrafficModel::device(1),
+            TrafficModel::device(8),
+        ];
+        let level = LevelSpec::new(Words::new(1024), WordsPerSec::new(1.0)).unwrap();
+        // flat; an unannotated outer level (inherits the sweep's line);
+        // an outer level with its own 16-word line (mixed under every
+        // model above).
+        let ladders = [vec![], vec![level], vec![level.with_line_words(16).unwrap()]];
+        let policy = tmp_policy("table", 100);
+        let policies = [
+            (None, None),
+            (Some(Budget::unlimited().with_max_resident_bytes(1 << 30)), None),
+            (None, Some(policy.clone())),
+        ];
+        for model in models {
+            for (ladder_idx, outer) in ladders.iter().enumerate() {
+                let base = SweepConfig {
+                    n: 8,
+                    memories: vec![4, 8, 32, 128, 512],
+                    verify: Verify::None,
+                    engine: Engine::Replay,
+                    ..SweepConfig::default()
+                }
+                .with_traffic(model)
+                .with_outer(outer);
+                let reference = capacity_sweep(&MatMul, &base).unwrap();
+                assert!(!reference.runs.is_empty());
+                let mixed = ladder_idx == 2;
+                let word_path = model == TrafficModel::WORD && !mixed;
+                for (budget, checkpoint) in &policies {
+                    let policed = budget.is_some() || checkpoint.is_some();
+                    for engine in engines {
+                        let cfg = SweepConfig {
+                            engine,
+                            budget: *budget,
+                            checkpoint: checkpoint.clone(),
+                            ..base.clone()
+                        };
+                        let case = format!(
+                            "{} / {model:?} / budget {} / checkpoint {} / ladder {ladder_idx}",
+                            engine_spec(engine),
+                            budget.is_some(),
+                            checkpoint.is_some()
+                        );
+                        let result = std::panic::catch_unwind(|| capacity_sweep(&MatMul, &cfg))
+                            .unwrap_or_else(|_| panic!("{case}: panicked"));
+                        let expect_ok = word_path
+                            || (!policed
+                                && (engine == Engine::Replay
+                                    || (matches!(engine, Engine::StackDist | Engine::Analytic)
+                                        && !mixed)));
+                        match result {
+                            Ok(swept) => {
+                                assert!(expect_ok, "{case}: ran, but the table refuses it");
+                                assert_eq!(swept.runs, reference.runs, "{case}");
+                            }
+                            Err(KernelError::BadParameters { reason }) => {
+                                assert!(!expect_ok, "{case}: refused: {reason}");
+                                assert!(
+                                    reason.contains(&engine_spec(engine))
+                                        || reason.contains("model"),
+                                    "{case}: {reason}"
+                                );
+                            }
+                            Err(other) => panic!("{case}: {other}"),
+                        }
+                    }
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&policy.dir);
     }
 
     #[test]
@@ -2199,12 +2167,12 @@ mod tests {
             ..SweepConfig::default()
         }
         .with_traffic(TrafficModel::device(4));
-        let replay = hierarchy_capacity_sweep(&MatMul, &cfg, &outer).unwrap();
+        let replay = capacity_sweep(&MatMul, &cfg.clone().with_outer(&outer)).unwrap();
         let onepass =
-            hierarchy_capacity_sweep(&MatMul, &cfg.clone().with_engine(Engine::StackDist), &outer)
+            capacity_sweep(&MatMul, &cfg.clone().with_engine(Engine::StackDist).with_outer(&outer))
                 .unwrap();
         assert_eq!(replay.runs, onepass.runs);
-        let par = hierarchy_capacity_sweep_par(&MatMul, &cfg, &outer).unwrap();
+        let par = capacity_sweep(&MatMul, &cfg.clone().with_outer(&outer)).unwrap();
         assert_eq!(replay.runs, par.runs);
     }
 
@@ -2226,14 +2194,14 @@ mod tests {
             ..SweepConfig::default()
         }
         .with_traffic(TrafficModel::device(2));
-        let err = hierarchy_capacity_sweep(&MatMul, &cfg, &outer).unwrap_err();
+        let err = capacity_sweep(&MatMul, &cfg.clone().with_outer(&outer)).unwrap_err();
         assert!(
             matches!(&err, KernelError::BadParameters { reason }
                 if reason.contains("uniform line size")),
             "{err}"
         );
         let replayed =
-            hierarchy_capacity_sweep(&MatMul, &cfg.clone().with_engine(Engine::Replay), &outer)
+            capacity_sweep(&MatMul, &cfg.clone().with_engine(Engine::Replay).with_outer(&outer))
                 .unwrap();
         assert_eq!(replayed.runs.len(), 3);
         for run in &replayed.runs {
@@ -2258,8 +2226,8 @@ mod tests {
             engine: Engine::Replay,
             ..SweepConfig::default()
         };
-        let word = hierarchy_capacity_sweep(&MatMul, &cfg, &plain).unwrap();
-        let device = hierarchy_capacity_sweep(&MatMul, &cfg, &lined).unwrap();
+        let word = capacity_sweep(&MatMul, &cfg.clone().with_outer(&plain)).unwrap();
+        let device = capacity_sweep(&MatMul, &cfg.clone().with_outer(&lined)).unwrap();
         assert_eq!(word.runs.len(), device.runs.len());
         for (w, d) in word.runs.iter().zip(&device.runs) {
             // The outer boundary now transfers whole 8-word lines...
@@ -2271,10 +2239,9 @@ mod tests {
         }
         // The one-pass engine refuses the mixed-granularity ladder (word
         // local under an 8-word outer line) instead of mispricing it.
-        let err = hierarchy_capacity_sweep(
+        let err = capacity_sweep(
             &MatMul,
-            &cfg.clone().with_engine(Engine::StackDist),
-            &lined,
+            &cfg.clone().with_engine(Engine::StackDist).with_outer(&lined),
         )
         .unwrap_err();
         assert!(
@@ -2295,8 +2262,8 @@ mod tests {
             .unwrap()];
         let cfg = SweepConfig::pow2(12, 5, 8, 0).with_verify(Verify::None);
         for result in [
-            hierarchy_sweep(&MatMul, &cfg, &lined),
-            hierarchy_sweep_par(&MatMul, &cfg, &lined),
+            intensity_sweep(&MatMul, &cfg.clone().with_outer(&lined)),
+            intensity_sweep_par(&MatMul, &cfg.clone().with_outer(&lined)),
         ] {
             let err = result.unwrap_err();
             assert!(
@@ -2310,7 +2277,7 @@ mod tests {
             .unwrap()
             .with_write_bandwidth(WordsPerSec::new(0.5))
             .unwrap()];
-        assert!(hierarchy_sweep(&MatMul, &cfg, &priced).is_err());
+        assert!(intensity_sweep(&MatMul, &cfg.with_outer(&priced)).is_err());
     }
 
     #[test]
@@ -2378,7 +2345,7 @@ mod tests {
         };
         let flat = capacity_sweep(&MatMul, &cfg).unwrap();
         assert_eq!(flat.runs.iter().map(|r| r.m).collect::<Vec<_>>(), vec![4, 128, 512]);
-        let hier = hierarchy_capacity_sweep(&MatMul, &cfg, &outer_levels(&[256])).unwrap();
+        let hier = capacity_sweep(&MatMul, &cfg.clone().with_outer(&outer_levels(&[256]))).unwrap();
         assert_eq!(hier.runs.iter().map(|r| r.m).collect::<Vec<_>>(), vec![4, 128]);
         for run in &hier.runs {
             assert_eq!(run.execution.cost.level_count(), 2);
@@ -2397,12 +2364,12 @@ mod tests {
             ..SweepConfig::default()
         };
         let outer = outer_levels(&[256, 1024]);
-        let replay = hierarchy_capacity_sweep(&MatMul, &cfg, &outer).unwrap();
+        let replay = capacity_sweep(&MatMul, &cfg.clone().with_outer(&outer)).unwrap();
         let onepass =
-            hierarchy_capacity_sweep(&MatMul, &cfg.clone().with_engine(Engine::StackDist), &outer)
+            capacity_sweep(&MatMul, &cfg.clone().with_engine(Engine::StackDist).with_outer(&outer))
                 .unwrap();
         assert_eq!(replay.runs, onepass.runs);
-        let par = hierarchy_capacity_sweep_par(&MatMul, &cfg, &outer).unwrap();
+        let par = capacity_sweep(&MatMul, &cfg.clone().with_outer(&outer)).unwrap();
         assert_eq!(replay.runs, par.runs);
     }
 
@@ -2426,13 +2393,28 @@ mod tests {
 
     #[test]
     fn engine_auto_switches_at_four_points() {
-        assert_eq!(Engine::auto(0), Engine::Replay);
-        assert_eq!(Engine::auto(3), Engine::Replay);
-        assert_eq!(Engine::auto(4), Engine::StackDist);
-        assert_eq!(Engine::auto(16), Engine::StackDist);
-        // pow2 wires it through.
-        assert_eq!(SweepConfig::pow2(8, 5, 6, 0).engine, Engine::Replay);
-        assert_eq!(SweepConfig::pow2(8, 5, 12, 0).engine, Engine::StackDist);
+        let fft = crate::fft::Fft;
+        assert_eq!(Engine::auto(&fft, &points_cfg(8, 0)), Engine::Replay);
+        assert_eq!(Engine::auto(&fft, &points_cfg(8, 3)), Engine::Replay);
+        assert_eq!(Engine::auto(&fft, &points_cfg(8, 4)), Engine::StackDist);
+        assert_eq!(Engine::auto(&fft, &points_cfg(8, 16)), Engine::StackDist);
+        // pow2 sweeps resolve by their point count (and carry the default
+        // engine until they do).
+        assert_eq!(SweepConfig::pow2(8, 5, 6, 0).engine, Engine::default());
+        assert_eq!(Engine::auto(&fft, &SweepConfig::pow2(8, 5, 6, 0)), Engine::Replay);
+        assert_eq!(Engine::auto(&fft, &SweepConfig::pow2(8, 5, 12, 0)), Engine::StackDist);
+        // Every outer boundary is one more capacity read off the histogram:
+        // one point over a depth-4 ladder amortizes, over depth 3 it does
+        // not.
+        let one = points_cfg(8, 1);
+        assert_eq!(
+            Engine::auto(&fft, &one.clone().with_outer(&outer_levels(&[128, 256, 512]))),
+            Engine::StackDist
+        );
+        assert_eq!(
+            Engine::auto(&fft, &one.with_outer(&outer_levels(&[128, 256]))),
+            Engine::Replay
+        );
     }
 
     fn tmp_policy(tag: &str, every: u64) -> CheckpointPolicy {
@@ -2675,7 +2657,7 @@ mod tests {
             ..SweepConfig::default()
         };
         // Outer capacities must grow: 4096 then 1024 is rejected.
-        let err = hierarchy_sweep(&MatMul, &cfg, &outer_levels(&[4096, 1024])).unwrap_err();
+        let err = intensity_sweep(&MatMul, &cfg.with_outer(&outer_levels(&[4096, 1024]))).unwrap_err();
         assert!(matches!(err, KernelError::BadParameters { .. }), "{err}");
         // ... even when no sweep point survives the eligibility filter
         // (the ladder is validated up front, not per point).
@@ -2688,8 +2670,8 @@ mod tests {
             ..SweepConfig::default()
         };
         for result in [
-            hierarchy_sweep(&MatMul, &empty_cfg, &outer_levels(&[4096, 1024])),
-            hierarchy_sweep_par(&MatMul, &empty_cfg, &outer_levels(&[4096, 1024])),
+            intensity_sweep(&MatMul, &empty_cfg.clone().with_outer(&outer_levels(&[4096, 1024]))),
+            intensity_sweep_par(&MatMul, &empty_cfg.clone().with_outer(&outer_levels(&[4096, 1024]))),
         ] {
             assert!(matches!(result, Err(KernelError::BadParameters { .. })));
         }

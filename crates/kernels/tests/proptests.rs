@@ -238,7 +238,7 @@ proptest! {
             prop_assert_eq!(r.memory.to_bits(), o.memory.to_bits());
             prop_assert_eq!(r.ratio.to_bits(), o.ratio.to_bits());
         }
-        let par = capacity_sweep_par(&**kernel, &cfg).unwrap();
+        let par = capacity_sweep(&**kernel, &cfg).unwrap();
         prop_assert_eq!(&replay.runs, &par.runs);
         // The scaled tiers hold the same contract: segmented parallel
         // Mattson is bit-identical at any thread count, and sampling at
@@ -298,11 +298,10 @@ proptest! {
             engine: Engine::StackDist,
             ..SweepConfig::default()
         };
-        let onepass = hierarchy_capacity_sweep(&**kernel, &cfg, &outer).unwrap();
-        let replay = hierarchy_capacity_sweep(
+        let onepass = capacity_sweep(&**kernel, &cfg.clone().with_outer(&outer)).unwrap();
+        let replay = capacity_sweep(
             &**kernel,
-            &cfg.clone().with_engine(Engine::Replay),
-            &outer,
+            &cfg.clone().with_engine(Engine::Replay).with_outer(&outer),
         )
         .unwrap();
         prop_assert_eq!(&onepass.runs, &replay.runs, "kernel {}", kernel.name());

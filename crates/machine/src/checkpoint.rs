@@ -312,10 +312,10 @@ impl CheckpointPolicy {
     }
 }
 
-/// Atomically persists `bytes` at `path`: write to a sibling tmp file,
-/// then rename over the destination — a reader (or a resume after
-/// SIGKILL) sees either the previous complete image or the new one, never
-/// a torn write.
+/// Atomically persists `bytes` at `path`, creating its directory first:
+/// the bytes land in the sibling `<file name>.tmp`, which is then renamed
+/// over `path`, so a reader (or a resume after SIGKILL) sees either the
+/// previous complete image or the new one, never a torn write.
 ///
 /// # Errors
 ///
@@ -325,10 +325,23 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
     if let Some(dir) = path.parent() {
         fs::create_dir_all(dir)?;
     }
-    let tmp = path.with_extension("ckpt.tmp");
-    fs::write(&tmp, bytes)?;
-    fs::rename(&tmp, path)?;
+    replace_atomic(path, bytes)?;
     Ok(())
+}
+
+/// The one atomic publish, behind [`write_atomic`] and every profile-store
+/// write (images and manifest): write the sibling `<file name>.tmp`, then
+/// rename it over `path`. The profile store's `fsck` removes any `*.tmp`
+/// an interrupted publish leaves behind.
+///
+/// # Errors
+///
+/// The failing write or rename.
+pub(crate) fn replace_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    fs::write(&tmp, bytes)?;
+    fs::rename(&tmp, path)
 }
 
 /// Loads an image's bytes, treating a missing (or unreadable) file as "no

@@ -43,7 +43,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::checkpoint::{fnv1a, ByteReader, ByteWriter, CheckpointError};
+use crate::checkpoint::{fnv1a, replace_atomic, ByteReader, ByteWriter, CheckpointError};
 use crate::faults::{FaultPlan, StoreFault};
 use crate::sampling::MAX_SAMPLE_SHIFT;
 use crate::stackdist::{CapacityProfile, TrafficProfile};
@@ -724,15 +724,15 @@ impl ProfileStore {
                 let mut bytes = encode_profile(meta, payload);
                 let pos = (fnv1a(&bytes) % bytes.len() as u64) as usize;
                 bytes[pos] ^= 0x40;
-                self.publish_atomic(&path, &bytes)?;
+                publish(&path, &bytes)?;
             }
             Some(StoreFault::StaleVersion) => {
                 let bytes = encode_with_version(meta, payload, PROFILE_VERSION + 1);
-                self.publish_atomic(&path, &bytes)?;
+                publish(&path, &bytes)?;
             }
             None => {
                 let bytes = encode_profile(meta, payload);
-                self.publish_atomic(&path, &bytes)?;
+                publish(&path, &bytes)?;
             }
         }
         self.manifest_update(|keys| {
@@ -889,21 +889,6 @@ impl ProfileStore {
         Ok(names)
     }
 
-    /// Temp-file + rename publish, the same discipline as
-    /// [`crate::checkpoint::write_atomic`] but with a store-local temp
-    /// suffix so fsck can recognize and clean interrupted publishes.
-    fn publish_atomic(&self, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
-        let tmp = path.with_extension(format!("{IMAGE_EXT}.tmp"));
-        fs::write(&tmp, bytes).map_err(|source| StoreError {
-            path: tmp.clone(),
-            source,
-        })?;
-        fs::rename(&tmp, path).map_err(|source| StoreError {
-            path: path.to_path_buf(),
-            source,
-        })
-    }
-
     /// Moves a rejected image into the quarantine directory, never
     /// clobbering an earlier quarantined artifact (numeric suffixes).
     fn quarantine_entry(&self, name: &str) -> Result<(), StoreError> {
@@ -951,13 +936,7 @@ impl ProfileStore {
             text.push_str(&key.manifest_line());
             text.push('\n');
         }
-        let path = self.manifest_path();
-        let tmp = self.dir.join(format!("{MANIFEST}.tmp"));
-        fs::write(&tmp, text).map_err(|source| StoreError {
-            path: tmp.clone(),
-            source,
-        })?;
-        fs::rename(&tmp, &path).map_err(|source| StoreError { path, source })
+        publish(&self.manifest_path(), text.as_bytes())
     }
 
     fn manifest_update(
@@ -968,6 +947,15 @@ impl ProfileStore {
         edit(&mut keys);
         self.write_manifest(&keys)
     }
+}
+
+/// Publishes `bytes` at `path` through [`replace_atomic`], reporting a
+/// failure against the published path.
+fn publish(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+    replace_atomic(path, bytes).map_err(|source| StoreError {
+        path: path.to_path_buf(),
+        source,
+    })
 }
 
 #[cfg(test)]
