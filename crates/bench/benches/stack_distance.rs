@@ -29,11 +29,14 @@
 //!   recorded the baseline *slower* than the checkpointed replay because
 //!   the first-run tier alone paid the cold-start cost.
 //!
-//! The medians land in `BENCH_8.json` via the bench-smoke script
-//! (alongside the `bigtrace/*` wall-clocks E23 appends); the tentpole
-//! target is `engine_replay / engine_stackdist ≥ 3×` on the 16-point
+//! The bench-smoke script collects the medians (alongside the
+//! `bigtrace/*` wall-clocks E23 appends) into `target/bench_smoke.json`;
+//! the target is `engine_replay / engine_stackdist ≥ 3×` on the 16-point
 //! sweep, and checkpointing at the default interval within ~5% of
-//! `checkpoint_overhead/off`.
+//! `checkpoint_overhead/off`. These are smoke numbers from a ≤ 3-sample
+//! shim: the benchmark of record for the engine is `perfbench/`
+//! (`BENCHMARK.json`), whose `sweep-exact` workload reports
+//! `machine.stackdist.ns_per_addr` and `machine.stackdist.vs_lru_ratio`.
 
 use balance_kernels::prelude::*;
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -36,10 +36,6 @@ use crate::sweep::{
 };
 use crate::traits::{all_kernels, extension_kernels, Kernel};
 
-/// Address-space bound below which the tagged recompute uses the
-/// direct-indexed engine backend (same regime the sweeps use).
-const DIRECT_BOUND: u64 = 1 << 26;
-
 /// Every kernel the store precomputes: the eight paper kernels plus the
 /// three extensions, in registry order.
 #[must_use]
@@ -251,16 +247,10 @@ impl<'a> ProfileService<'a> {
                         kernel.name()
                     ),
                 })?;
-            let bound = trace.addr_bound();
-            let traffic = if bound <= DIRECT_BOUND {
-                StackDistance::traffic_profile_of_bounded(
-                    trace.into_accesses(),
-                    model.line_words,
-                    bound,
-                )
-            } else {
-                StackDistance::traffic_profile_of(trace.into_accesses(), model.line_words)
-            };
+            let lines = trace.addr_bound().div_ceil(model.line_words);
+            let mut engine = StackDistance::for_bound(Some(lines));
+            engine.observe_tagged_trace(trace.into_accesses(), model.line_words);
+            let traffic = engine.into_traffic_profile(model.line_words);
             let meta = ProfileMeta {
                 kernel: kernel.name().to_string(),
                 n: n as u64,

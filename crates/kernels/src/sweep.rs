@@ -49,10 +49,10 @@ use balance_core::{
     Words, WordsPerSec,
 };
 use balance_machine::{
-    resumable_replay, sampled_profile_of, sampled_profile_of_bounded, segmented_profile_of,
-    segmented_profile_resumable, CapacityProfile, CheckpointPolicy, FaultPlan, Hierarchy,
-    LruCache, MemorySystem as _, ReplayControl, ReplayInterrupt, SampledStackDistance,
-    StackDistance, TrafficProfile, MAX_SAMPLE_SHIFT,
+    direct_bound, resumable_replay, sampled_profile_of, sampled_profile_of_bounded,
+    segmented_profile_of, segmented_profile_resumable, CapacityProfile, CheckpointPolicy,
+    FaultPlan, Hierarchy, LruCache, MemorySystem as _, ReplayControl, ReplayInterrupt,
+    SampledStackDistance, StackDistance, TrafficProfile, MAX_SAMPLE_SHIFT,
 };
 
 use crate::error::KernelError;
@@ -834,12 +834,10 @@ fn capacity_points_profile(
     let (curve, provenance) = match device {
         Some(model) => {
             let trace = trace_for(kernel, cfg.n)?;
-            let bound = trace.addr_bound();
-            let accesses = device_accesses(trace, model);
-            let tp = match direct_bound(bound) {
-                Some(b) => StackDistance::traffic_profile_of_bounded(accesses, model.line_words, b),
-                None => StackDistance::traffic_profile_of(accesses, model.line_words),
-            };
+            let lines = trace.addr_bound().div_ceil(model.line_words);
+            let mut engine = StackDistance::for_bound(Some(lines));
+            engine.observe_tagged_trace(device_accesses(trace, model), model.line_words);
+            let tp = engine.into_traffic_profile(model.line_words);
             (Curve::Lines(tp), None)
         }
         None if cfg.budget.is_some() || cfg.checkpoint.is_some() => {
@@ -863,12 +861,6 @@ fn capacity_points_profile(
     )?;
     result.provenance = provenance;
     Ok(result)
-}
-
-/// Whether the address bound is worth a direct-indexed last-access table
-/// (a flat `8 × bound`-byte allocation per engine/worker).
-fn direct_bound(bound: u64) -> Option<u64> {
-    (bound > 0 && bound < u64::from(u32::MAX / 2)).then_some(bound)
 }
 
 /// The line size a ladder level transfers under `model`: the level's own
@@ -925,10 +917,11 @@ fn capacity_profile(
     let bound = trace.addr_bound();
     Ok(match engine {
         Engine::Analytic => unreachable!("handled by the early return above"),
-        Engine::Replay | Engine::StackDist => match direct_bound(bound) {
-            Some(b) => StackDistance::profile_of_bounded(trace.into_addrs(), b),
-            None => StackDistance::profile_of(trace.into_addrs()),
-        },
+        Engine::Replay | Engine::StackDist => {
+            let mut engine = StackDistance::for_bound(Some(bound));
+            engine.observe_trace(trace.into_addrs());
+            engine.into_profile()
+        }
         Engine::Sampled { shift } => match direct_bound(bound) {
             Some(b) => sampled_profile_of_bounded(trace.into_addrs(), b, shift),
             None => sampled_profile_of(trace.into_addrs(), shift),
@@ -1228,10 +1221,7 @@ fn run_profile_attempt(
             ctl.policy = cfg.checkpoint.as_ref();
             ctl.faults = faults;
             ctl.deadline = deadline;
-            let fresh = || match direct_bound(bound) {
-                Some(b) => StackDistance::with_address_bound(b),
-                None => StackDistance::new(),
-            };
+            let fresh = || StackDistance::for_bound(Some(bound));
             let (eng, stats) = resumable_replay(len, kernel_addrs(kernel, cfg.n), fresh, &ctl)?;
             Ok((
                 eng.into_profile(),

@@ -124,7 +124,9 @@ pub use sampling::{
 pub use segmented::{
     segmented_profile_of, segmented_profile_resumable, SegmentedStats, MAX_SEGMENT_RETRIES,
 };
-pub use stackdist::{AnalyticProfile, CapacityProfile, StackDistance, TrafficProfile};
+pub use stackdist::{
+    direct_bound, AnalyticProfile, CapacityProfile, StackDistance, TrafficProfile,
+};
 pub use memory::{BufferId, LocalMemory};
 pub use pe::Pe;
 pub use store::{ExternalStore, Region};

@@ -66,10 +66,7 @@ fn segment_pass(
     addrs: impl IntoIterator<Item = u64>,
     addr_bound: Option<u64>,
 ) -> SegmentPass {
-    let mut engine = match addr_bound {
-        Some(bound) => StackDistance::with_address_bound(bound),
-        None => StackDistance::new(),
-    };
+    let mut engine = StackDistance::for_bound(addr_bound);
     engine.record_first_touches();
     engine.observe_trace(addrs);
     let final_stack = engine.final_stack();
@@ -113,15 +110,16 @@ fn ranges(len: u64, segments: usize) -> Vec<(u64, u64)> {
 /// `make_range(start, end)` must produce the trace's addresses in
 /// positions `[start, end)`; it is called concurrently from worker
 /// threads. `len` is the total trace length; `addr_bound`, when given,
-/// promises every address lies in `[0, addr_bound)` and selects the
-/// direct-indexed backend in every worker (one flat table per worker).
+/// promises every address lies in `[0, addr_bound)`, and every worker
+/// takes the backend [`StackDistance::for_bound`] picks from it (a
+/// direct-indexed bound costs one flat table per worker).
 ///
 /// [`profile_of_bounded`]: StackDistance::profile_of_bounded
 ///
 /// # Panics
 ///
-/// As [`StackDistance::with_address_bound`] when `addr_bound` is
-/// `Some(0)` or an address breaks its promise; propagates worker panics.
+/// As [`StackDistance::for_bound`] when an address breaks the promise;
+/// propagates worker panics.
 ///
 /// # Examples
 ///
@@ -149,10 +147,7 @@ where
     // One segment degenerates to the serial engine — skip the scaffolding.
     if ranges.len() <= 1 {
         let (start, end) = ranges.first().copied().unwrap_or((0, 0));
-        let mut engine = match addr_bound {
-            Some(bound) => StackDistance::with_address_bound(bound),
-            None => StackDistance::new(),
-        };
+        let mut engine = StackDistance::for_bound(addr_bound);
         engine.observe_trace(make_range(start, end));
         return engine.into_profile();
     }
@@ -179,10 +174,7 @@ where
 
 /// The sequential exact merge, in time order (see module docs).
 fn merge_passes(passes: Vec<SegmentPass>, addr_bound: Option<u64>) -> CapacityProfile {
-    let mut merged = match addr_bound {
-        Some(bound) => StackDistance::with_address_bound(bound),
-        None => StackDistance::new(),
-    };
+    let mut merged = StackDistance::for_bound(addr_bound);
     for pass in passes {
         merged.add_accesses(pass.accesses);
         merged.absorb_hist(&pass.hist);
@@ -236,10 +228,7 @@ fn segment_pass_resumable<I: Iterator<Item = u64>>(
     ctl: &ReplayControl<'_>,
 ) -> Result<(SegmentPass, ReplayStats), ReplayInterrupt> {
     let fresh = || {
-        let mut engine = match addr_bound {
-            Some(bound) => StackDistance::with_address_bound(bound),
-            None => StackDistance::new(),
-        };
+        let mut engine = StackDistance::for_bound(addr_bound);
         engine.record_first_touches();
         engine
     };

@@ -29,11 +29,19 @@
 //! time and `O(U)` memory, `U` = distinct addresses: a bitmap-leaf order
 //! statistic (64 time slots per `u64` word, a Fenwick tree over the word
 //! popcounts — 64× smaller than a flat Fenwick, so it lives in L1/L2)
-//! counts the distinct addresses between consecutive touches, and the
-//! slot space is compacted in amortized `O(1)` when the time pointer
-//! outruns it. Both `LruCache` index strategies are mirrored: a
-//! direct-indexed last-access table when the caller can bound the address
-//! space, a hash map otherwise.
+//! counts the distinct addresses between consecutive touches. The Fenwick
+//! covers only the leaves below the *frontier* leaf that new markers land
+//! in: a push is one bit set (plus one Fenwick path per 64 pushes), and a
+//! reuse whose previous touch lies in the frontier leaf is answered and
+//! retired by one popcount and one bit clear; only older reuses pay the
+//! two `O(log U)` Fenwick walks. When the time pointer outruns the slot
+//! space it is compacted in place in `O(U)` — the live slots slide down
+//! word by word, the bitmap becomes a dense prefix and the Fenwick is
+//! rebuilt in linear time — so compaction is amortized `O(1)` per access
+//! and allocates only when the hash backend doubles its slot space. Both
+//! `LruCache` index strategies are mirrored: a direct-indexed last-access
+//! table when the caller can bound the address space, a hash map
+//! otherwise; [`direct_bound`] is the one policy choosing between them.
 //!
 //! Time is kept on a **logical `u64` clock**: the last-access index stores
 //! monotonically increasing logical timestamps, and a physical window
@@ -61,8 +69,20 @@ const EMPTY: u64 = u64::MAX;
 
 /// The live-marker order statistic: one bit per time slot, 64 slots
 /// packed per `u64` leaf, with a Fenwick (binary indexed) tree over the
-/// leaves' popcounts. `add`/`remove` flip one bit and adjust one Fenwick
-/// path; `count_after` popcounts a partial leaf plus one Fenwick prefix.
+/// leaves' popcounts — but only over the leaves **strictly below the
+/// frontier leaf**, the leaf the next pushed slot lands in. Markers are
+/// only ever pushed at the frontier (slots advance with the clock), so
+/// the frontier leaf is the one that churns, and it costs no Fenwick
+/// work at all:
+///
+/// * `push` sets one bit; when the frontier moves into a new leaf, the
+///   finished leaf's popcount enters the Fenwick once (one `O(log L)`
+///   path per 64 pushes, `L` = leaves);
+/// * `remove` inside the frontier leaf clears one bit, below it also
+///   walks one Fenwick path;
+/// * `count_after(p)` for `p` in the frontier leaf is one popcount (no
+///   live slot lies above the frontier), below it `live − prefix(p)`:
+///   one partial-leaf popcount plus one Fenwick prefix.
 ///
 /// The two-level layout is the perf-critical choice: a flat Fenwick over
 /// `S` slots walks `log₂S` scattered cache lines per operation, while
@@ -72,10 +92,16 @@ const EMPTY: u64 = u64::MAX;
 /// count shares the logical clock's no-overflow guarantee.
 #[derive(Debug, Clone)]
 struct MarkerTree {
-    /// Bit `i & 63` of `bits[i >> 6]` = slot `i` is live.
+    /// Bit `i & 63` of `bits[i >> 6]` = slot `i` is live — the single
+    /// source of liveness (so `slot_addr` needs no dead-slot sentinel and
+    /// every `u64` address value is representable). No bit above the
+    /// frontier leaf is ever set.
     bits: Vec<u64>,
-    /// Fenwick tree over per-leaf popcounts (`tree[0]` unused).
+    /// Fenwick tree over the popcounts of leaves `0..frontier`
+    /// (`tree[0]` unused; the frontier leaf and above count as zero).
     tree: Vec<u64>,
+    /// The leaf pushes currently land in.
+    frontier: usize,
     live: u64,
 }
 
@@ -85,6 +111,7 @@ impl MarkerTree {
         MarkerTree {
             bits: vec![0; leaves],
             tree: vec![0; leaves + 1],
+            frontier: 0,
             live: 0,
         }
     }
@@ -94,54 +121,110 @@ impl MarkerTree {
         self.bits.len() * 64
     }
 
-    /// Marks slot `i` live.
-    fn add(&mut self, i: usize) {
-        debug_assert_eq!(self.bits[i >> 6] >> (i & 63) & 1, 0, "slot already live");
-        self.live += 1;
-        self.bits[i >> 6] |= 1u64 << (i & 63);
-        let mut w = (i >> 6) + 1;
+    /// Adds `delta` (two's-complement, so `u64::MAX` subtracts one) to
+    /// leaf `leaf`'s Fenwick path.
+    #[inline]
+    fn fenwick_add(&mut self, leaf: usize, delta: u64) {
+        let mut w = leaf + 1;
         while w < self.tree.len() {
-            self.tree[w] += 1;
+            self.tree[w] = self.tree[w].wrapping_add(delta);
             w += w & w.wrapping_neg();
         }
+    }
+
+    /// Marks slot `i` live. `i` must lie at or past the frontier leaf and
+    /// above every live slot — the next slot of the time window.
+    #[inline]
+    fn push(&mut self, i: usize) {
+        let leaf = i >> 6;
+        debug_assert!(leaf >= self.frontier, "push below the frontier");
+        debug_assert_eq!(self.bits[leaf] >> (i & 63) & 1, 0, "slot already live");
+        if leaf != self.frontier {
+            // The frontier leaf is finished: its popcount enters the
+            // Fenwick once, and the frontier moves up.
+            let done = u64::from(self.bits[self.frontier].count_ones());
+            self.fenwick_add(self.frontier, done);
+            self.frontier = leaf;
+        }
+        self.live += 1;
+        self.bits[leaf] |= 1u64 << (i & 63);
     }
 
     /// Marks slot `i` dead (it must be live).
+    #[inline]
     fn remove(&mut self, i: usize) {
-        debug_assert_eq!(self.bits[i >> 6] >> (i & 63) & 1, 1, "slot not live");
+        let leaf = i >> 6;
+        debug_assert_eq!(self.bits[leaf] >> (i & 63) & 1, 1, "slot not live");
         self.live -= 1;
-        self.bits[i >> 6] &= !(1u64 << (i & 63));
-        let mut w = (i >> 6) + 1;
-        while w < self.tree.len() {
-            self.tree[w] -= 1;
-            w += w & w.wrapping_neg();
+        self.bits[leaf] &= !(1u64 << (i & 63));
+        if leaf != self.frontier {
+            self.fenwick_add(leaf, u64::MAX);
         }
-    }
-
-    /// Live markers in slots `[0, i]`.
-    fn prefix(&self, i: usize) -> u64 {
-        // Partial leaf: bits at positions <= i & 63.
-        let mask = u64::MAX >> (63 - (i & 63));
-        let mut sum = u64::from((self.bits[i >> 6] & mask).count_ones());
-        // Whole leaves before it, off the Fenwick tree.
-        let mut w = i >> 6;
-        while w > 0 {
-            sum += self.tree[w];
-            w -= w & w.wrapping_neg();
-        }
-        sum
     }
 
     /// Live markers strictly after slot `i`.
+    #[inline]
     fn count_after(&self, i: usize) -> u64 {
-        self.live - self.prefix(i)
+        let leaf = i >> 6;
+        // Bits at positions <= i & 63.
+        let upto = u64::MAX >> (63 - (i & 63));
+        if leaf == self.frontier {
+            // Nothing is live above the frontier leaf.
+            return u64::from((self.bits[leaf] & !upto).count_ones());
+        }
+        // live − prefix(i): the partial leaf, then the whole leaves
+        // before it off the Fenwick tree.
+        let mut prefix = u64::from((self.bits[leaf] & upto).count_ones());
+        let mut w = leaf;
+        while w > 0 {
+            prefix += self.tree[w];
+            w -= w & w.wrapping_neg();
+        }
+        self.live - prefix
     }
 
-    /// Whether slot `i` is live — the single source of truth compaction
-    /// reads (so `slot_addr` needs no dead-slot sentinel and every `u64`
-    /// address value is representable).
-    fn is_live(&self, i: usize) -> bool {
-        self.bits[i >> 6] >> (i & 63) & 1 == 1
+    /// The live slots in ascending order, walked word by word.
+    fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.bits[..=self.frontier]
+            .iter()
+            .enumerate()
+            .flat_map(|(leaf, &word)| {
+                let mut rest = word;
+                std::iter::from_fn(move || {
+                    (rest != 0).then(|| {
+                        let bit = rest.trailing_zeros() as usize;
+                        rest &= rest - 1;
+                        leaf * 64 + bit
+                    })
+                })
+            })
+    }
+
+    /// Resets the tree to `live` markers at slots `0..live` over a slot
+    /// space of (at least) `slots`, rebuilding the Fenwick in linear time —
+    /// the layout compaction and restore both produce. Reallocates only
+    /// when the slot space grows.
+    fn reset_dense(&mut self, live: usize, slots: usize) {
+        let leaves = slots.div_ceil(64).max(1);
+        debug_assert!(live < leaves * 64, "a dense prefix must leave a free slot");
+        let full = live >> 6;
+        self.bits.clear();
+        self.bits.resize(leaves, 0);
+        self.bits[..full].fill(u64::MAX);
+        self.bits[full] = (1u64 << (live & 63)) - 1;
+        self.frontier = full;
+        self.live = live as u64;
+        // Linear-time Fenwick construction: seed each node with its own
+        // leaf's count, then push every node into its parent once.
+        self.tree.clear();
+        self.tree.resize(leaves + 1, 0);
+        self.tree[1..=full].fill(64);
+        for w in 1..=leaves {
+            let parent = w + (w & w.wrapping_neg());
+            if parent <= leaves {
+                self.tree[parent] += self.tree[w];
+            }
+        }
     }
 }
 
@@ -154,6 +237,17 @@ enum LastIndex {
     Direct(Vec<u64>),
     /// Hash fallback for unbounded address spaces.
     Map(HashMap<u64, u64>),
+}
+
+/// The index-backend policy every exact engine shares: `Some(bound)` when
+/// an address space `[0, bound)` is worth a direct-indexed last-access
+/// table (a flat `8 × bound`-byte allocation per engine or worker),
+/// `None` when it should be hashed. [`StackDistance::for_bound`] applies
+/// it; the two backends are bit-identical, so the policy moves only speed
+/// and memory.
+#[must_use]
+pub fn direct_bound(bound: u64) -> Option<u64> {
+    (bound > 0 && bound < u64::from(u32::MAX / 2)).then_some(bound)
 }
 
 /// No-open-chain marker in the dirty index. A chain's max gap is a stack
@@ -284,9 +378,9 @@ pub struct StackDistance {
     index: LastIndex,
     markers: MarkerTree,
     /// `slot_addr[s]` = the address whose latest access lives in physical
-    /// slot `s`, for compaction. Meaningful only where
-    /// [`MarkerTree::is_live`] says so — liveness lives in the marker
-    /// bitmap, not in a sentinel value, so every `u64` is a valid address.
+    /// slot `s`, for compaction. Meaningful only at slots the marker
+    /// bitmap holds live — liveness lives there, not in a sentinel value,
+    /// so every `u64` is a valid address.
     slot_addr: Vec<u64>,
     /// Monotonic logical clock: the timestamp the next touch will take.
     /// Never wraps, never resets at compaction.
@@ -348,6 +442,23 @@ impl StackDistance {
             .checked_mul(2)
             .unwrap_or_else(|| panic!("address bound overflows the slot space"));
         Self::with_slots(LastIndex::Direct(vec![EMPTY; bound]), slots)
+    }
+
+    /// An engine on the backend [`direct_bound`] picks: direct-indexed
+    /// over `[0, b)` when `addr_bound` is `Some(b)` and the policy accepts
+    /// `b`, hash-indexed otherwise (no bound, an empty space, or one too
+    /// large to tabulate).
+    ///
+    /// # Panics
+    ///
+    /// On the direct backend, as [`StackDistance::with_address_bound`]
+    /// when an observed address breaks the bound.
+    #[must_use]
+    pub fn for_bound(addr_bound: Option<u64>) -> Self {
+        match addr_bound.and_then(direct_bound) {
+            Some(bound) => Self::with_address_bound(bound),
+            None => Self::new(),
+        }
     }
 
     fn with_slots(index: LastIndex, slots: usize) -> Self {
@@ -511,7 +622,7 @@ impl StackDistance {
                 if prev.is_some_and(|p| p >= line) {
                     return Err(corrupt("open dirty chains out of order"));
                 }
-                if max_gap == EMPTY {
+                if max_gap == CLOSED {
                     return Err(corrupt("open dirty chain carries the closed sentinel"));
                 }
                 prev = Some(line);
@@ -552,7 +663,7 @@ impl StackDistance {
         let mut engine = Self::with_slots(index, slots);
         // Rebuild the physical window exactly as compaction lays it out:
         // the live addresses take slots 0..live, timestamps just below
-        // the (restored) clock.
+        // the (restored) clock, and the markers are one dense prefix.
         let origin = clock - live;
         for (i, &addr) in stack.iter().enumerate() {
             let t = origin + i as u64;
@@ -573,9 +684,10 @@ impl StackDistance {
                     }
                 }
             }
-            engine.markers.add(i);
             engine.slot_addr[i] = addr;
         }
+        let slots = engine.markers.slots();
+        engine.markers.reset_dense(stack.len(), slots);
         engine.clock = clock;
         engine.origin = origin;
         engine.hist = hist;
@@ -635,7 +747,7 @@ impl StackDistance {
     #[inline]
     fn push_top(&mut self, addr: u64) {
         let slot = (self.clock - self.origin) as usize;
-        self.markers.add(slot);
+        self.markers.push(slot);
         self.slot_addr[slot] = addr;
         self.clock += 1;
     }
@@ -779,9 +891,8 @@ impl StackDistance {
     /// The live addresses in recency order, oldest first — the engine's
     /// final LRU stack, bottom to top.
     pub(crate) fn final_stack(&self) -> Vec<u64> {
-        let window = (self.clock - self.origin) as usize;
-        (0..window)
-            .filter(|&s| self.markers.is_live(s))
+        self.markers
+            .live_slots()
             .map(|s| self.slot_addr[s])
             .collect()
     }
@@ -996,35 +1107,26 @@ impl StackDistance {
         engine.into_traffic_profile(line_words)
     }
 
-    /// Squeezes the dead slots out of the time axis, preserving recency
-    /// order, re-points the live markers, and re-bases the logical origin
-    /// so the clock itself never resets. Doubles the slot space when more
-    /// than half the slots are live (only possible on the hash backend,
-    /// whose distinct-address count is unbounded).
+    /// Squeezes the dead slots out of the time axis in place, preserving
+    /// recency order, re-points the live markers, and re-bases the logical
+    /// origin so the clock itself never resets. Doubles the slot space
+    /// when more than half the slots are live (only possible on the hash
+    /// backend, whose distinct-address count is unbounded) — the only
+    /// case that allocates. `O(leaves + live)`: the set bits are walked
+    /// word by word and the marker tree is rebuilt as a dense prefix.
     fn compact(&mut self) {
         let slots = self.markers.slots();
         let live = usize::try_from(self.markers.live)
             .unwrap_or_else(|_| panic!("live marker count overflows usize"));
-        let new_slots = if live * 2 > slots {
-            slots
-                .checked_mul(2)
-                .unwrap_or_else(|| panic!("slot space overflows usize"))
-        } else {
-            slots
-        };
-        let mut markers = MarkerTree::new(new_slots);
-        let mut slot_addr = vec![0; markers.slots()];
         // The clock is untouched; live entries take the `live` timestamps
         // just below it, so physical slot = timestamp − origin holds again.
         let origin = self.clock - live as u64;
-        let mut dst = 0usize;
-        for src in 0..slots {
-            if !self.markers.is_live(src) {
-                continue;
-            }
+        debug_assert_eq!(self.markers.live_slots().count(), live, "live count drifted");
+        for (dst, src) in self.markers.live_slots().enumerate() {
+            // dst ≤ src: every slot below `src` that is not live was
+            // skipped, so the slide never overwrites an unread entry.
             let addr = self.slot_addr[src];
-            slot_addr[dst] = addr;
-            markers.add(dst);
+            self.slot_addr[dst] = addr;
             let t = origin + dst as u64;
             match &mut self.index {
                 LastIndex::Direct(table) => table[addr as usize] = t,
@@ -1032,11 +1134,16 @@ impl StackDistance {
                     map.insert(addr, t);
                 }
             }
-            dst += 1;
         }
-        debug_assert_eq!(dst, live, "compaction must keep every live marker");
-        self.markers = markers;
-        self.slot_addr = slot_addr;
+        let new_slots = if live * 2 > slots {
+            slots
+                .checked_mul(2)
+                .unwrap_or_else(|| panic!("slot space overflows usize"))
+        } else {
+            slots
+        };
+        self.markers.reset_dense(live, new_slots);
+        self.slot_addr.resize(self.markers.slots(), 0);
         self.origin = origin;
     }
 }
@@ -1694,6 +1801,211 @@ mod tests {
         assert_eq!(p.compulsory_misses(), 200);
         for m in [1u64, 50, 199, 200, 201] {
             assert_eq!(p.misses_at(m), replay_misses(&trace, m), "capacity {m}");
+        }
+    }
+
+    #[test]
+    fn marker_tree_matches_naive_reference() {
+        use crate::sampling::splitmix64;
+        // Rounds of `window` frontier pushes, each interleaved with random
+        // removes and `count_after` queries, then a dense reset (the
+        // compaction layout). Windows of 63/64/65 slots end a round just
+        // before, exactly on and just past a leaf boundary, from starting
+        // points that vary with the surviving live count (up to three
+        // windows survive, so later rounds start several leaves up).
+        for window in [63usize, 64, 65] {
+            for seed in 0..4u64 {
+                let mut draws = (0u64..).map(|i| splitmix64(seed << 32 | i));
+                let mut draw = |n: usize| (draws.next().unwrap() % n as u64) as usize;
+                let mut tree = MarkerTree::new(512);
+                let mut naive = vec![false; tree.slots()];
+                let mut next = 0usize;
+                for _round in 0..6 {
+                    for _ in 0..window {
+                        tree.push(next);
+                        naive[next] = true;
+                        next += 1;
+                        let live: Vec<usize> = (0..next).filter(|&s| naive[s]).collect();
+                        if live.len() >= 3 * window || draw(3) == 0 {
+                            let victim = live[draw(live.len())];
+                            tree.remove(victim);
+                            naive[victim] = false;
+                        }
+                        let q = draw(next);
+                        let expect = naive[q + 1..].iter().filter(|&&b| b).count() as u64;
+                        assert_eq!(
+                            tree.count_after(q),
+                            expect,
+                            "window {window} seed {seed} slot {q}"
+                        );
+                    }
+                    for q in 0..next {
+                        let expect = naive[q + 1..].iter().filter(|&&b| b).count() as u64;
+                        assert_eq!(
+                            tree.count_after(q),
+                            expect,
+                            "window {window} seed {seed} slot {q}"
+                        );
+                    }
+                    let live: Vec<usize> = (0..next).filter(|&s| naive[s]).collect();
+                    assert_eq!(tree.live_slots().collect::<Vec<_>>(), live);
+                    assert_eq!(tree.live, live.len() as u64);
+                    tree.reset_dense(live.len(), tree.slots());
+                    naive.fill(false);
+                    naive[..live.len()].fill(true);
+                    next = live.len();
+                }
+            }
+        }
+    }
+
+    /// A deterministic trace over `[0, space)` mixing short reuses (inside
+    /// one 64-slot leaf) with long ones across the whole space.
+    fn mixed_trace(n: usize, space: u64, seed: u64) -> Vec<u64> {
+        use crate::sampling::splitmix64;
+        let mut trace: Vec<u64> = Vec::with_capacity(n);
+        for i in 0..n {
+            let r = splitmix64(seed << 32 | i as u64);
+            let a = if r.is_multiple_of(4) && i >= 3 {
+                trace[i - 1 - (r >> 2) as usize % 3]
+            } else {
+                (r >> 8) % space
+            };
+            trace.push(a);
+        }
+        trace
+    }
+
+    /// Feeds `trace` through `step` one access at a time and returns
+    /// `(compactions, doublings)`: every compaction re-bases the origin,
+    /// every doubling grows the slot space.
+    fn count_compactions(
+        engine: &mut StackDistance,
+        trace: &[u64],
+        mut step: impl FnMut(&mut StackDistance, usize, u64),
+    ) -> (u32, u32) {
+        let (mut compactions, mut doublings) = (0, 0);
+        for (i, &a) in trace.iter().enumerate() {
+            let (origin, slots) = (engine.origin, engine.markers.slots());
+            step(engine, i, a);
+            compactions += u32::from(engine.origin != origin);
+            doublings += u32::from(engine.markers.slots() != slots);
+        }
+        (compactions, doublings)
+    }
+
+    /// The two tiny-slot engines the compaction regressions drive: the
+    /// direct backend over `space` addresses (2 leaves, 128 slots) and the
+    /// hash backend on its minimum one-leaf space.
+    fn small_engines(space: u64) -> [(&'static str, StackDistance); 2] {
+        [
+            ("direct", StackDistance::with_address_bound(space)),
+            (
+                "hash",
+                StackDistance::with_slots(LastIndex::Map(HashMap::new()), 16),
+            ),
+        ]
+    }
+
+    #[test]
+    fn repeated_compactions_match_lru_replay_on_both_backends() {
+        // 40 addresses, then 150 (more than half the hash backend's 64
+        // slots: it must double), then back to 40.
+        let mut trace = mixed_trace(1500, 40, 1);
+        trace.extend(mixed_trace(1500, 150, 2));
+        trace.extend(mixed_trace(1500, 40, 3));
+        for (name, mut engine) in small_engines(150) {
+            let (compactions, doublings) =
+                count_compactions(&mut engine, &trace, |e, _, a| e.observe(a));
+            assert!(compactions >= 3, "{name}: {compactions} compactions");
+            if name == "hash" {
+                assert!(doublings >= 1, "hash backend never doubled");
+            }
+            let p = engine.into_profile();
+            for m in 1..=152u64 {
+                assert_eq!(
+                    p.misses_at(m),
+                    replay_misses(&trace, m),
+                    "{name} capacity {m}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_tagged_compactions_match_dirty_lru_replay_on_both_backends() {
+        use crate::sampling::splitmix64;
+        let mut addrs = mixed_trace(1500, 40, 4);
+        addrs.extend(mixed_trace(1500, 150, 5));
+        addrs.extend(mixed_trace(1500, 40, 6));
+        let accesses: Vec<balance_core::Access> = addrs
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| {
+                if splitmix64(i as u64 ^ 0xD1).is_multiple_of(3) {
+                    balance_core::Access::write(a)
+                } else {
+                    balance_core::Access::read(a)
+                }
+            })
+            .collect();
+        for (name, mut engine) in small_engines(150) {
+            let (compactions, doublings) = count_compactions(&mut engine, &addrs, |e, i, a| {
+                e.observe_tagged(a, accesses[i].is_write());
+            });
+            assert!(compactions >= 3, "{name}: {compactions} compactions");
+            if name == "hash" {
+                assert!(doublings >= 1, "hash backend never doubled");
+            }
+            let tp = engine.into_traffic_profile(1);
+            for m in 1..=152u64 {
+                let mut cache = LruCache::new(m as usize, 1);
+                let (misses, wbs) = cache.run_tagged_trace(accesses.iter().copied());
+                assert_eq!(tp.read_misses_at(m), misses, "{name} read misses at {m}");
+                assert_eq!(tp.writebacks_at(m), wbs, "{name} write-backs at {m}");
+            }
+        }
+    }
+
+    #[test]
+    fn restore_inside_a_partly_filled_frontier_leaf_continues_bit_identically() {
+        let trace = mixed_trace(3000, 60, 7);
+        for (name, mut engine) in small_engines(60) {
+            // Stop where the frontier leaf is partly pushed and has lost
+            // some of its pushed markers to reuse.
+            let mut cut = 0;
+            loop {
+                engine.observe(trace[cut]);
+                cut += 1;
+                let window = (engine.clock - engine.origin) as usize;
+                let pushed = window - engine.markers.frontier * 64;
+                let held = engine.markers.bits[engine.markers.frontier].count_ones() as usize;
+                if cut >= 200 && pushed < 64 && held > 0 && held < pushed {
+                    break;
+                }
+            }
+            let mut restored = StackDistance::restore(&engine.snapshot()).unwrap();
+            assert_eq!(
+                restored.final_stack(),
+                engine.final_stack(),
+                "{name} cut {cut}"
+            );
+            engine.observe_trace(trace[cut..].iter().copied());
+            restored.observe_trace(trace[cut..].iter().copied());
+            assert_eq!(
+                restored.final_stack(),
+                engine.final_stack(),
+                "{name} cut {cut}"
+            );
+            let p = restored.into_profile();
+            assert_eq!(p, engine.into_profile(), "{name} cut {cut}");
+            for m in [1u64, 2, 7, 30, 59, 60, 61] {
+                assert_eq!(
+                    p.misses_at(m),
+                    replay_misses(&trace, m),
+                    "{name} capacity {m}"
+                );
+            }
         }
     }
 

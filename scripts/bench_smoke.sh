@@ -2,11 +2,12 @@
 # Bench-smoke: run every criterion-shim bench target at reduced iterations
 # (BENCH_SMOKE=1 → ≤ 3 samples × ≤ 3 iters per bench) plus the E23
 # billion-address experiment (whose wall-clocks and sampled-error use the
-# same "name": ns line protocol), and assemble the results into
-# BENCH_<n>.json at the repo root, seeding the perf trajectory tracked
-# across PRs.
+# same "name": ns line protocol), and assemble the results into one JSON
+# object of median ns per bench. These are smoke numbers (≤ 3 samples per
+# bench); the benchmark of record is perfbench/ (see BENCHMARK.json).
 #
-# Usage: scripts/bench_smoke.sh [output.json]   (default: BENCH_10.json)
+# Usage: scripts/bench_smoke.sh [output.json]
+#        (default: target/bench_smoke.json)
 #
 # PR 7 added the checkpoint_overhead/* tier: the resumable replay with
 # checkpoints every 2^24 addresses (the production default) must stay
@@ -33,7 +34,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_10.json}"
+out="${1:-target/bench_smoke.json}"
 # Absolute path: cargo bench runs each target with cwd = its package dir.
 jsonl="$(pwd)/target/bench_smoke.jsonl"
 rm -f "$jsonl"
