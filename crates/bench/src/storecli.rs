@@ -214,7 +214,7 @@ impl<'a> ServeSession<'a> {
             ["io", kernel, n, m] => {
                 let (n, m) = (parse_n(n)?, parse_m(m)?);
                 let served = self.serve(kernel, n)?;
-                let words = io_words_at(&served.payload, m);
+                let words = io_words(&served.payload, m);
                 Ok(format!(
                     "io {kernel} {n} {m} = {words} words  [{}]",
                     served.describe()
@@ -224,7 +224,7 @@ impl<'a> ServeSession<'a> {
                 let (n, m) = (parse_n(n)?, parse_m(m)?);
                 let ops = self.comp_ops(kernel, n)?;
                 let served = self.serve(kernel, n)?;
-                let words = io_words_at(&served.payload, m);
+                let words = io_words(&served.payload, m);
                 let r = if words == 0 {
                     f64::INFINITY
                 } else {
@@ -262,10 +262,7 @@ impl<'a> ServeSession<'a> {
                 let peak = self.peak;
                 let served = self.serve(kernel, n)?;
                 require_exact(served, "binding")?;
-                let traffic = match &served.payload {
-                    ProfilePayload::Capacity(p) => p.traffic_for(&spec),
-                    ProfilePayload::Traffic(t) => t.traffic_for(&spec),
-                };
+                let traffic = served.payload.traffic_for(&spec);
                 let ai: Vec<f64> = (0..spec.depth())
                     .map(|i| match traffic.get(i) {
                         Some(0) | None => f64::INFINITY,
@@ -330,13 +327,10 @@ fn parse_m(s: &str) -> Result<u64, String> {
     s.parse().map_err(|e| format!("capacity '{s}': {e}"))
 }
 
-/// Total boundary words at capacity `m`: the capacity curve's `io_at`,
-/// or — device-real — line-granular read words plus write-back words.
-fn io_words_at(payload: &ProfilePayload, m: u64) -> u64 {
-    match payload {
-        ProfilePayload::Capacity(p) => p.io_at(m),
-        ProfilePayload::Traffic(t) => t.read_words_at(m) + t.writeback_words_at(m),
-    }
+/// Total boundary words below a memory of `m` words: reads plus
+/// write-backs (none on a word curve).
+fn io_words(payload: &ProfilePayload, m: u64) -> u64 {
+    payload.read_words_at(m) + payload.writeback_words_at(m)
 }
 
 /// Exact-only consumers (`balance`, `binding`) refuse sampled artifacts:
@@ -353,15 +347,15 @@ fn require_exact(served: &Served, query: &str) -> Result<(), String> {
     }
 }
 
-/// Smallest capacity whose intensity `ops / io_at(M)` reaches `ratio`,
-/// or `None` when even the saturating capacity stays io-bounded below
-/// it. Binary search over the monotone (non-increasing) io curve.
+/// Smallest capacity in words whose intensity `ops / io(M)` reaches
+/// `ratio`, or `None` when even the saturating capacity stays io-bounded
+/// below it. Binary search over the monotone (non-increasing) io curve.
 fn balance_point(payload: &ProfilePayload, ops: u64, ratio: f64) -> Option<u64> {
     let reaches = |m: u64| {
-        let words = io_words_at(payload, m);
+        let words = io_words(payload, m);
         words == 0 || ops as f64 / words as f64 >= ratio
     };
-    let mut hi = payload.profile().saturating_capacity().max(1);
+    let mut hi = payload.saturating_words().max(1);
     if !reaches(hi) {
         return None;
     }
@@ -547,6 +541,72 @@ mod tests {
         assert!(a.starts_with("! ") && a.contains("non-exact"), "{a}");
         let a = session.answer("binding fft 64 32:1e8").unwrap();
         assert!(a.starts_with("! ") && a.contains("non-exact"), "{a}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn device_store_answers_match_a_word_capacity_scan() {
+        let dir = tmp_dir("device");
+        let store = ProfileStore::open(&dir).unwrap();
+        let flags = Flags::parse(&args(&["--line-words", "8"])).unwrap();
+        let model = traffic_model(&flags).unwrap();
+        let peak = 1.0e9;
+        let mut session = ServeSession::new(&store, model, None, peak);
+        let service = ProfileService::new(&store);
+        for (kernel, n) in [
+            ("matmul", 16usize),
+            ("triangularization", 16),
+            ("fft", 256),
+            ("sort", 256),
+        ] {
+            let k = registry_kernel(kernel).unwrap();
+            let (_, payload, _) = service.recompute(k.as_ref(), n, model).unwrap();
+            let ops = k.access_trace(n).unwrap().comp_ops();
+            let io = |m: u64| payload.read_words_at(m) + payload.writeback_words_at(m);
+            let intensity = |m: u64| match io(m) {
+                0 => f64::INFINITY,
+                w => ops as f64 / w as f64,
+            };
+            // A ratio just below the peak intensity is reachable, but only
+            // well past one line: the scan walks word capacities from 1.
+            let ratio = 0.999 * intensity(u64::MAX);
+            let m = (1..=1u64 << 20)
+                .find(|&m| intensity(m) >= ratio)
+                .expect("the peak intensity is reached at a finite capacity");
+            assert!(m > 8, "{kernel} {n}: balance point {m} within one line");
+
+            let a = session
+                .answer(&format!("balance {kernel} {n} {ratio}"))
+                .unwrap();
+            let want = format!("balance {kernel} {n} {ratio} = M {m} words  [");
+            assert!(a.starts_with(&want), "{a}\nwant {want}");
+
+            for cap in [4, m - 1, m, 4 * m] {
+                let a = session.answer(&format!("io {kernel} {n} {cap}")).unwrap();
+                let want = format!("io {kernel} {n} {cap} = {} words  [", io(cap));
+                assert!(a.starts_with(&want), "{a}\nwant {want}");
+            }
+
+            let levels = format!("{m}:1e8,{}:1e7", 4 * m);
+            let spec = parse_levels(&levels).unwrap();
+            let ai: Vec<f64> = spec
+                .levels()
+                .iter()
+                .map(|level| intensity(level.capacity().get()))
+                .collect();
+            let roofline = HierarchicalRoofline::new(OpsPerSec::new(peak), &spec).unwrap();
+            let binds = roofline
+                .binding_level(&ai)
+                .map_or("compute".to_string(), |level| format!("L{}", level + 1));
+            let a = session
+                .answer(&format!("binding {kernel} {n} {levels}"))
+                .unwrap();
+            let want = format!(
+                "binding {kernel} {n} = {binds} (attainable {:.3e} op/s)  [",
+                roofline.attainable(&ai)
+            );
+            assert!(a.starts_with(&want), "{a}\nwant {want}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -13,8 +13,8 @@
 //!    quarantined entry costs microseconds to heal;
 //! 3. **budgeted stack-distance recompute** — kernels without a closed
 //!    form replay their canonical trace through
-//!    [`robust_capacity_profile`], whose own budget ladder degrades
-//!    exact → sampled rather than hanging (PR 7 semantics);
+//!    [`crate::sweep::robust_capacity_profile`], whose own budget ladder
+//!    degrades exact → sampled rather than hanging;
 //!
 //! and the repaired artifact is **re-persisted** so the next query is a
 //! hit again. Every answer carries its [`ServeSource`] (hit vs repaired,
@@ -23,17 +23,22 @@
 //! (the `measured_balance_memory` fast path in `balance-parallel`) keep
 //! refusing non-exact artifacts through the profile's own exactness bit,
 //! exactly as PRs 7/8 gated.
+//!
+//! Recomputes (store builds and repairs alike) take their profile from
+//! the same builder as every capacity sweep
+//! ([`crate::sweep::capacity_sweep`]): the word model through that rung
+//! driver, a device-real model through one exact tagged pass. A sweep
+//! and a store entry of the same kernel, size and model are therefore
+//! the same curve, read in words through [`ProfilePayload`].
 
 use balance_core::Budget;
 use balance_machine::{
     CapacityProfile, FaultPlan, Lookup, ProfileKey, ProfileMeta, ProfilePayload, ProfileStore,
-    StackDistance, StoreError,
+    StoreError,
 };
 
 use crate::error::KernelError;
-use crate::sweep::{
-    engine_spec, robust_capacity_profile, Engine, Provenance, SweepConfig, TrafficModel,
-};
+use crate::sweep::{engine_spec, profile_payload, Engine, Provenance, SweepConfig, TrafficModel};
 use crate::traits::{all_kernels, extension_kernels, Kernel};
 
 /// Every kernel the store precomputes: the eight paper kernels plus the
@@ -227,6 +232,9 @@ impl<'a> ProfileService<'a> {
     /// kernel derives a closed form (free, exact), else a budgeted
     /// stack-distance replay whose own ladder degrades to sampled; the
     /// device-real dual ledger always comes from one exact tagged pass.
+    /// The profile itself comes from the builder every capacity sweep
+    /// uses; this method only picks the engine, refuses the line-only
+    /// model, and writes the [`ProfileMeta`].
     ///
     /// # Errors
     ///
@@ -237,31 +245,7 @@ impl<'a> ProfileService<'a> {
         n: usize,
         model: TrafficModel,
     ) -> Result<(ProfileMeta, ProfilePayload, Option<Provenance>), KernelError> {
-        if model.writebacks {
-            let trace = kernel
-                .access_trace(n)
-                .ok_or_else(|| KernelError::BadParameters {
-                    reason: format!(
-                        "{} has no canonical access trace at n = {n} (device-real \
-                         entries need one)",
-                        kernel.name()
-                    ),
-                })?;
-            let lines = trace.addr_bound().div_ceil(model.line_words);
-            let mut engine = StackDistance::for_bound(Some(lines));
-            engine.observe_tagged_trace(trace.into_accesses(), model.line_words);
-            let traffic = engine.into_traffic_profile(model.line_words);
-            let meta = ProfileMeta {
-                kernel: kernel.name().to_string(),
-                n: n as u64,
-                engine: engine_spec(Engine::StackDist),
-                sample_shift: 0,
-                line_words: model.line_words,
-                writebacks: true,
-            };
-            return Ok((meta, ProfilePayload::Traffic(traffic), None));
-        }
-        if model.line_words != 1 {
+        if model.line_words != 1 && !model.writebacks {
             return Err(KernelError::BadParameters {
                 reason: format!(
                     "the profile store holds word-granular curves and device-real \
@@ -271,7 +255,8 @@ impl<'a> ProfileService<'a> {
                 ),
             });
         }
-        let engine = if kernel.analytic_profile(n).is_some() {
+        let device = model.writebacks.then_some(model);
+        let engine = if device.is_none() && kernel.analytic_profile(n).is_some() {
             Engine::Analytic
         } else {
             Engine::StackDist
@@ -282,16 +267,16 @@ impl<'a> ProfileService<'a> {
             budget: self.budget,
             ..SweepConfig::default()
         };
-        let (profile, provenance) = robust_capacity_profile(kernel, &cfg, &FaultPlan::none())?;
+        let (payload, provenance) = profile_payload(kernel, &cfg, device)?;
         let meta = ProfileMeta {
             kernel: kernel.name().to_string(),
             n: n as u64,
-            engine: engine_spec(provenance.used),
-            sample_shift: profile.sample_shift(),
-            line_words: 1,
-            writebacks: false,
+            engine: engine_spec(provenance.as_ref().map_or(engine, |p| p.used)),
+            sample_shift: payload.profile().sample_shift(),
+            line_words: model.line_words,
+            writebacks: model.writebacks,
         };
-        Ok((meta, ProfilePayload::Capacity(profile), Some(provenance)))
+        Ok((meta, payload, provenance))
     }
 }
 

@@ -38,6 +38,12 @@
 //! (fanned out over worker threads). The engines are bit-identical across
 //! the kernel registry (pinned by property test); [`Engine::auto`] picks
 //! one from the kernel and the sweep's shape.
+//!
+//! One builder makes every such curve, for sweeps and for the profile
+//! store alike: the word model runs [`robust_capacity_profile`]'s rung
+//! driver (one attempt on the requested engine when neither a budget nor
+//! a checkpoint is set), a device-real model one tagged pass. The result
+//! is a [`ProfilePayload`], read in words whichever kind it is.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -49,10 +55,9 @@ use balance_core::{
     Words, WordsPerSec,
 };
 use balance_machine::{
-    direct_bound, resumable_replay, sampled_profile_of, sampled_profile_of_bounded,
-    segmented_profile_of, segmented_profile_resumable, CapacityProfile, CheckpointPolicy,
-    FaultPlan, Hierarchy, LruCache, MemorySystem as _, ReplayControl, ReplayInterrupt,
-    SampledStackDistance, StackDistance, TrafficProfile, MAX_SAMPLE_SHIFT,
+    direct_bound, resumable_replay, segmented_profile_resumable, AnalyticProfile, CapacityProfile,
+    CheckpointPolicy, FaultPlan, Hierarchy, LruCache, MemorySystem as _, ProfilePayload,
+    ReplayControl, ReplayInterrupt, SampledStackDistance, StackDistance, MAX_SAMPLE_SHIFT,
 };
 
 use crate::error::KernelError;
@@ -616,6 +621,11 @@ fn capacity_run(n: usize, m: usize, comp_ops: u64, reads: &[u64], wbs: &[u64]) -
 /// unbudgeted, and the one-pass engine only at a uniform line size across
 /// the ladder.
 ///
+/// The profile engines share one curve builder with the profile store
+/// (see the module docs) and read every point off it in words;
+/// [`SweepResult::provenance`] is filled in only under a budget or a
+/// checkpoint policy.
+///
 /// # Errors
 ///
 /// [`KernelError::BadParameters`] when the kernel has no canonical trace
@@ -667,11 +677,12 @@ struct CapacityPlan {
 /// * [`Engine::Replay`] replays the tagged trace through actual
 ///   line-granular dirty-bit LRU state per point;
 /// * [`Engine::StackDist`] answers the whole sweep from **one** tagged
-///   replay via [`TrafficProfile`] — bit-identical to the per-point
-///   replays, but only at a **uniform** line size: LRU inclusion (the
-///   Mattson stack property the whole-ladder read rests on) holds
-///   level-to-level only when every level tracks the same lines, so a
-///   mixed-line ladder is refused and needs [`Engine::Replay`];
+///   replay via [`balance_machine::TrafficProfile`] — bit-identical to
+///   the per-point replays, but only at a **uniform** line size: LRU
+///   inclusion (the Mattson stack property the whole-ladder read rests
+///   on) holds level-to-level only when every level tracks the same
+///   lines, so a mixed-line ladder is refused and needs
+///   [`Engine::Replay`];
 /// * [`Engine::Analytic`]'s closed forms are word-granular read-priced
 ///   derivations, so the tier **declines** device-real models and the
 ///   one-pass tagged engine answers instead (exact, just not free);
@@ -803,64 +814,57 @@ fn capacity_point_replay(
     Ok(capacity_run(cfg.n, m, comp, &reads, &wbs))
 }
 
-/// A sweep's whole capacity curve from one pass: word-granular misses, or
-/// device-real reads plus write-backs.
-enum Curve {
-    Words(CapacityProfile),
-    Lines(TrafficProfile),
-}
-
-impl Curve {
-    /// Read (fetch) and write-back words at `capacity`.
-    fn at(&self, capacity: u64) -> (u64, u64) {
-        match self {
-            Curve::Words(profile) => (profile.misses_at(capacity), 0),
-            Curve::Lines(tp) => (tp.read_words_at(capacity), tp.writeback_words_at(capacity)),
-        }
-    }
-}
-
-/// All profile-engine points from **one pass**: the curve is built once —
-/// on the word path serially, segmented-parallel, sampled or analytically
-/// per `cfg.engine` (through the degradation ladder when budgeted or
-/// checkpointed), on the device path by one tagged replay — then every
-/// sweep capacity and every outer boundary is an O(1) read.
+/// All profile-engine points from **one pass**: the curve is built once
+/// by [`profile_payload`], then every sweep capacity and every outer
+/// boundary is an O(1) read in words.
 fn capacity_points_profile(
     kernel: &dyn Kernel,
     cfg: &SweepConfig,
     device: Option<TrafficModel>,
     memories: &[usize],
 ) -> Result<SweepResult, KernelError> {
-    let (curve, provenance) = match device {
-        Some(model) => {
-            let trace = trace_for(kernel, cfg.n)?;
-            let lines = trace.addr_bound().div_ceil(model.line_words);
-            let mut engine = StackDistance::for_bound(Some(lines));
-            engine.observe_tagged_trace(device_accesses(trace, model), model.line_words);
-            let tp = engine.into_traffic_profile(model.line_words);
-            (Curve::Lines(tp), None)
-        }
-        None if cfg.budget.is_some() || cfg.checkpoint.is_some() => {
-            let (profile, prov) = robust_capacity_profile(kernel, cfg, &FaultPlan::none())?;
-            (Curve::Words(profile), Some(prov))
-        }
-        None => (
-            Curve::Words(capacity_profile(kernel, cfg.n, cfg.engine)?),
-            None,
-        ),
-    };
+    let (payload, provenance) = profile_payload(kernel, cfg, device)?;
     let comp = trace_for(kernel, cfg.n)?.comp_ops();
     let mut result = collect_sweep(
         kernel,
         memories.iter().map(|&m| {
             let capacities =
                 std::iter::once(m as u64).chain(cfg.outer.iter().map(|l| l.capacity().get()));
-            let (reads, wbs): (Vec<u64>, Vec<u64>) = capacities.map(|c| curve.at(c)).unzip();
+            let (reads, wbs): (Vec<u64>, Vec<u64>) = capacities
+                .map(|c| (payload.read_words_at(c), payload.writeback_words_at(c)))
+                .unzip();
             Ok(capacity_run(cfg.n, m, comp, &reads, &wbs))
         }),
     )?;
-    result.provenance = provenance;
+    result.provenance = provenance.filter(|_| cfg.budget.is_some() || cfg.checkpoint.is_some());
     Ok(result)
+}
+
+/// The one profile builder behind sweeps, store builds and store
+/// repairs. A device-real `device` model gets one exact tagged one-pass
+/// replay (no provenance: nothing can degrade); the word model gets
+/// [`robust_capacity_profile`]'s rung driver, which with neither a
+/// budget nor a checkpoint is one attempt on `cfg.engine`.
+///
+/// # Errors
+///
+/// As [`robust_capacity_profile`]; [`KernelError::BadParameters`] when
+/// the kernel has no canonical trace at `cfg.n`.
+pub(crate) fn profile_payload(
+    kernel: &dyn Kernel,
+    cfg: &SweepConfig,
+    device: Option<TrafficModel>,
+) -> Result<(ProfilePayload, Option<Provenance>), KernelError> {
+    let Some(model) = device else {
+        let (profile, provenance) = robust_capacity_profile(kernel, cfg, &FaultPlan::none())?;
+        return Ok((ProfilePayload::Capacity(profile), Some(provenance)));
+    };
+    let trace = trace_for(kernel, cfg.n)?;
+    let lines = trace.addr_bound().div_ceil(model.line_words);
+    let mut engine = StackDistance::for_bound(Some(lines));
+    engine.observe_tagged_trace(device_accesses(trace, model), model.line_words);
+    let traffic = engine.into_traffic_profile(model.line_words);
+    Ok((ProfilePayload::Traffic(traffic), None))
 }
 
 /// The line size a ladder level transfers under `model`: the level's own
@@ -886,58 +890,6 @@ fn device_accesses(trace: AccessTrace, model: TrafficModel) -> Box<dyn Iterator<
     } else {
         Box::new(trace.into_addrs().map(Access::read))
     }
-}
-
-/// Builds the kernel's [`CapacityProfile`] on the requested profile
-/// engine ([`Engine::Replay`] has no profile and is rejected by the
-/// callers' dispatch).
-///
-/// # Errors
-///
-/// [`KernelError::BadParameters`] when the kernel has no canonical trace
-/// at `n`.
-fn capacity_profile(
-    kernel: &dyn Kernel,
-    n: usize,
-    engine: Engine,
-) -> Result<CapacityProfile, KernelError> {
-    if engine == Engine::Analytic {
-        return kernel
-            .analytic_profile(n)
-            .map(balance_machine::AnalyticProfile::into_profile)
-            .ok_or_else(|| KernelError::BadParameters {
-                reason: format!(
-                    "kernel {} derives no analytic profile at n = {n}; \
-                     use a replay engine (stackdist, stackdist-par, sampled)",
-                    kernel.name()
-                ),
-            });
-    }
-    let trace = trace_for(kernel, n)?;
-    let bound = trace.addr_bound();
-    Ok(match engine {
-        Engine::Analytic => unreachable!("handled by the early return above"),
-        Engine::Replay | Engine::StackDist => {
-            let mut engine = StackDistance::for_bound(Some(bound));
-            engine.observe_trace(trace.into_addrs());
-            engine.into_profile()
-        }
-        Engine::Sampled { shift } => match direct_bound(bound) {
-            Some(b) => sampled_profile_of_bounded(trace.into_addrs(), b, shift),
-            None => sampled_profile_of(trace.into_addrs(), shift),
-        },
-        Engine::StackDistPar { threads } => {
-            let len = trace.len();
-            drop(trace);
-            // Each worker regenerates its time range from the kernel's
-            // streaming generator: `skip` is O(1) for generators with a
-            // positional `nth` (e.g. the matmul trace) and one cheap
-            // linear scan otherwise.
-            segmented_profile_of(len, direct_bound(bound), resolve_threads(threads), |start, end| {
-                segment_range(kernel, n, start, end)
-            })
-        }
-    })
 }
 
 /// Resolves a [`Engine::StackDistPar`] thread count (`0` = the host's
@@ -1023,10 +975,10 @@ fn next_rung(engine: Engine) -> Option<Engine> {
 /// Order-of-magnitude estimate of `engine`'s resident state for a trace
 /// of `len` addresses drawn from `bound` distinct ones (`len` stands in
 /// when the bound is unknown): [`TRACKED_ADDRESS_BYTES`] per address the
-/// inner exact engine must track, per concurrent worker. The sampled
-/// rungs use the hash-indexed backend, which tracks only the expected
-/// `bound · 2^-shift` sampled addresses — that is what makes them
-/// genuinely cheaper, not just faster.
+/// inner exact engine must track, per concurrent worker. Under a
+/// resident cap the sampled rungs use the hash-indexed backend, which
+/// tracks only the expected `bound · 2^-shift` sampled addresses — that
+/// is what makes them genuinely cheaper, not just faster.
 fn estimated_resident_bytes(engine: Engine, bound: u64, len: u64) -> u64 {
     let tracked = if bound > 0 { bound } else { len };
     let (per_worker, workers) = match engine {
@@ -1200,9 +1152,11 @@ fn checkpoint_name(kernel: &dyn Kernel, n: usize) -> String {
 
 /// One ladder rung's attempt at the profile. Exact rungs run through the
 /// resumable (checkpointed, deadline-polled, fault-checked) replay
-/// drivers; sampled rungs stream through [`SampledStackDistance`] on the
-/// hash-indexed backend with the same deadline/fault cadence (sampled
-/// state is small enough that checkpointing it is not worth the I/O).
+/// drivers; sampled rungs stream through [`SampledStackDistance`] with
+/// the same deadline/fault cadence (sampled state is small enough that
+/// checkpointing it is not worth the I/O), on the direct-indexed backend
+/// unless [`Budget::max_resident_bytes`] caps the hash-backed footprint
+/// the rung was sized on. Both backends give the same profile.
 fn run_profile_attempt(
     kernel: &dyn Kernel,
     cfg: &SweepConfig,
@@ -1253,7 +1207,11 @@ fn run_profile_attempt(
             ))
         }
         Engine::Sampled { shift } => {
-            let mut eng = SampledStackDistance::new(shift);
+            let capped = cfg.budget.is_some_and(|b| b.max_resident_bytes.is_some());
+            let mut eng = match direct_bound(bound).filter(|_| !capped) {
+                Some(b) => SampledStackDistance::with_address_bound(shift, b),
+                None => SampledStackDistance::new(shift),
+            };
             let armed = faults.is_armed();
             let mut until_poll = SAMPLED_DEADLINE_POLL;
             for (pos, addr) in kernel_addrs(kernel, cfg.n).enumerate() {
@@ -1280,6 +1238,11 @@ fn run_profile_attempt(
 /// and [`SweepConfig::checkpoint`], degrading along the engine ladder
 /// instead of aborting, and reporting exactly how the profile was
 /// obtained.
+///
+/// This is the only word-profile driver: with neither a budget nor a
+/// checkpoint it makes one attempt on `cfg.engine` (`Replay` runs as its
+/// bit-identical `stackdist`), which is how every unbudgeted profile
+/// sweep and store entry is built.
 ///
 /// The ladder (see [`next_rung`] in this module): segmented-parallel →
 /// serial one-pass → SHARDS sampling at rate `2^-4`, then coarser powers
@@ -1314,7 +1277,17 @@ pub fn robust_capacity_profile(
     // a derivation errors here rather than degrading — the caller asked
     // for exact-and-free specifically.
     if cfg.engine == Engine::Analytic {
-        let profile = capacity_profile(kernel, cfg.n, Engine::Analytic)?;
+        let n = cfg.n;
+        let profile = kernel
+            .analytic_profile(n)
+            .map(AnalyticProfile::into_profile)
+            .ok_or_else(|| KernelError::BadParameters {
+                reason: format!(
+                    "kernel {} derives no analytic profile at n = {n}; \
+                     use a replay engine (stackdist, stackdist-par, sampled)",
+                    kernel.name()
+                ),
+            })?;
         return Ok((
             profile,
             Provenance {

@@ -42,6 +42,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use crate::faults::{FaultPlan, InjectedFault};
+use crate::profstore::PROFILE_VERSION;
 use crate::stackdist::StackDistance;
 
 /// Leading magic of every checkpoint image (`K`ung `B`alance
@@ -75,7 +76,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Why a checkpoint image was rejected or could not be persisted.
+/// Why an image was rejected or could not be persisted — a `KBSD`
+/// engine checkpoint or a `KBCP` profile image
+/// ([`crate::profstore`]), which share this integrity discipline.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum CheckpointError {
@@ -84,12 +87,15 @@ pub enum CheckpointError {
         /// Bytes actually present.
         len: usize,
     },
-    /// The image does not start with [`CHECKPOINT_MAGIC`].
+    /// The image does not start with its format's magic
+    /// ([`CHECKPOINT_MAGIC`] or [`crate::PROFILE_MAGIC`]).
     BadMagic {
         /// The four bytes found instead.
         found: [u8; 4],
     },
-    /// The image's format version is not [`CHECKPOINT_VERSION`].
+    /// The image's format version is not the one this build reads
+    /// ([`CHECKPOINT_VERSION`] or [`crate::PROFILE_VERSION`]) — written
+    /// by a different build, so its layout cannot be trusted.
     UnsupportedVersion {
         /// The version found in the image.
         found: u16,
@@ -116,21 +122,22 @@ impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CheckpointError::Truncated { len } => {
-                write!(f, "checkpoint truncated: only {len} bytes")
+                write!(f, "image truncated: only {len} bytes")
             }
             CheckpointError::BadMagic { found } => {
-                write!(f, "not a checkpoint image: bad magic {found:?}")
+                write!(f, "not a KBSD or KBCP image: bad magic {found:?}")
             }
             CheckpointError::UnsupportedVersion { found } => write!(
                 f,
-                "unsupported checkpoint version {found} (this build reads {CHECKPOINT_VERSION})"
+                "unsupported image version {found} (this build reads KBSD v{CHECKPOINT_VERSION}, \
+                 KBCP v{PROFILE_VERSION})"
             ),
             CheckpointError::ChecksumMismatch { stored, computed } => write!(
                 f,
-                "checkpoint checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
+                "image checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
             ),
-            CheckpointError::Corrupt { reason } => write!(f, "corrupt checkpoint: {reason}"),
-            CheckpointError::Io(e) => write!(f, "checkpoint I/O failure: {e}"),
+            CheckpointError::Corrupt { reason } => write!(f, "corrupt image: {reason}"),
+            CheckpointError::Io(e) => write!(f, "image I/O failure: {e}"),
         }
     }
 }

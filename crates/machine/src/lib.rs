@@ -113,14 +113,11 @@ pub use checkpoint::{
 pub use error::MachineError;
 pub use faults::{FaultPlan, InjectedFault, StoreFault};
 pub use profstore::{
-    decode_profile, encode_profile, FsckReport, Lookup, ProfileImageError, ProfileKey,
-    ProfileMeta, ProfilePayload, ProfileStore, StoreError, PROFILE_MAGIC, PROFILE_VERSION,
+    decode_profile, encode_profile, FsckReport, Lookup, ProfileKey, ProfileMeta, ProfilePayload,
+    ProfileStore, StoreError, PROFILE_MAGIC, PROFILE_VERSION,
 };
 pub use hierarchy::{Hierarchy, MemorySystem};
-pub use sampling::{
-    sampled_profile_of, sampled_profile_of_bounded, splitmix64, SampledStackDistance,
-    MAX_SAMPLE_SHIFT,
-};
+pub use sampling::{sampled_profile_of, splitmix64, SampledStackDistance, MAX_SAMPLE_SHIFT};
 pub use segmented::{
     segmented_profile_of, segmented_profile_resumable, SegmentedStats, MAX_SEGMENT_RETRIES,
 };

@@ -12,8 +12,10 @@
 //! * the **`KBCP` image** ([`encode_profile`] / [`decode_profile`]): a
 //!   versioned little-endian binary encoding of one profile with a
 //!   provenance header (kernel, problem size, engine, sampling rate,
-//!   traffic model) and a trailing FNV-1a checksum — the same discipline
-//!   as the `KBSD` checkpoint format in [`crate::checkpoint`];
+//!   traffic model) and a trailing FNV-1a checksum — the same discipline,
+//!   and the same [`CheckpointError`], as the `KBSD` checkpoint format in
+//!   [`crate::checkpoint`]; [`ProfilePayload`] reads either curve kind in
+//!   words;
 //! * the **[`ProfileStore`]**: a content-addressed directory of `KBCP`
 //!   images (file name = FNV-1a digest of the entry's [`ProfileKey`])
 //!   with atomic temp-file + rename publishes, a plain-text manifest,
@@ -43,6 +45,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use balance_core::{HierarchySpec, LevelTraffic};
+
 use crate::checkpoint::{fnv1a, replace_atomic, ByteReader, ByteWriter, CheckpointError};
 use crate::faults::{FaultPlan, StoreFault};
 use crate::sampling::MAX_SAMPLE_SHIFT;
@@ -62,97 +66,6 @@ const MANIFEST: &str = "MANIFEST";
 
 /// Subdirectory where rejected images are preserved for post-mortems.
 const QUARANTINE: &str = "quarantine";
-
-/// Why a profile image was rejected. Mirrors
-/// [`CheckpointError`][crate::checkpoint::CheckpointError] variant for
-/// variant (the two formats share their integrity discipline) but reports
-/// in `KBCP` terms.
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum ProfileImageError {
-    /// The image is shorter than its header + checksum.
-    Truncated {
-        /// Bytes actually present.
-        len: usize,
-    },
-    /// The image does not start with [`PROFILE_MAGIC`].
-    BadMagic {
-        /// The four bytes found instead.
-        found: [u8; 4],
-    },
-    /// The image's format version is not [`PROFILE_VERSION`] — written by
-    /// a different build, so its layout cannot be trusted.
-    UnsupportedVersion {
-        /// The version found in the image.
-        found: u16,
-    },
-    /// The trailing FNV-1a checksum does not match the payload (torn
-    /// write or bit rot).
-    ChecksumMismatch {
-        /// Checksum stored in the image.
-        stored: u64,
-        /// Checksum computed over the payload.
-        computed: u64,
-    },
-    /// The image passed the checksum but violates a structural invariant
-    /// (e.g. non-monotone breakpoints, exactness accounting that does not
-    /// balance, a ledger total that disagrees with its steps).
-    Corrupt {
-        /// The violated invariant.
-        reason: &'static str,
-    },
-    /// Filesystem failure while reading the image.
-    Io(io::Error),
-}
-
-impl fmt::Display for ProfileImageError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProfileImageError::Truncated { len } => {
-                write!(f, "profile image truncated: only {len} bytes")
-            }
-            ProfileImageError::BadMagic { found } => {
-                write!(f, "not a profile image: bad magic {found:?}")
-            }
-            ProfileImageError::UnsupportedVersion { found } => write!(
-                f,
-                "unsupported profile image version {found} (this build reads KBCP v{PROFILE_VERSION})"
-            ),
-            ProfileImageError::ChecksumMismatch { stored, computed } => write!(
-                f,
-                "profile image checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-            ),
-            ProfileImageError::Corrupt { reason } => write!(f, "corrupt profile image: {reason}"),
-            ProfileImageError::Io(e) => write!(f, "profile image I/O failure: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ProfileImageError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ProfileImageError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<CheckpointError> for ProfileImageError {
-    fn from(e: CheckpointError) -> Self {
-        match e {
-            CheckpointError::Truncated { len } => ProfileImageError::Truncated { len },
-            CheckpointError::BadMagic { found } => ProfileImageError::BadMagic { found },
-            CheckpointError::UnsupportedVersion { found } => {
-                ProfileImageError::UnsupportedVersion { found }
-            }
-            CheckpointError::ChecksumMismatch { stored, computed } => {
-                ProfileImageError::ChecksumMismatch { stored, computed }
-            }
-            CheckpointError::Corrupt { reason } => ProfileImageError::Corrupt { reason },
-            CheckpointError::Io(e) => ProfileImageError::Io(e),
-        }
-    }
-}
 
 /// The identity of a store entry: which measured curve this is. Engine
 /// and sampling rate are *provenance* (how the curve was obtained), not
@@ -293,6 +206,10 @@ impl ProfileMeta {
 
 /// The profile carried by an image: a plain read curve or the
 /// device-real dual-ledger twin.
+///
+/// Its readers take and return **words** whichever kind it is, except
+/// [`ProfilePayload::profile`], the raw read curve, whose capacities are
+/// lines for a device ledger.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProfilePayload {
     /// A (possibly sampled) read/miss curve.
@@ -302,7 +219,8 @@ pub enum ProfilePayload {
 }
 
 impl ProfilePayload {
-    /// The read/fetch curve, whichever payload kind carries it.
+    /// The read/fetch curve, whichever payload kind carries it (over
+    /// line ids for a device ledger).
     #[must_use]
     pub fn profile(&self) -> &CapacityProfile {
         match self {
@@ -316,6 +234,52 @@ impl ProfilePayload {
     #[must_use]
     pub fn is_exact(&self) -> bool {
         self.profile().is_exact()
+    }
+
+    /// Words fetched across the boundary below a memory of `m` **words**:
+    /// the word curve's misses, or the device ledger's line fetches in
+    /// words.
+    #[must_use]
+    pub fn read_words_at(&self, m: u64) -> u64 {
+        match self {
+            ProfilePayload::Capacity(p) => p.misses_at(m),
+            ProfilePayload::Traffic(t) => t.read_words_at(m),
+        }
+    }
+
+    /// Words written back below a memory of `m` **words** (zero for a
+    /// word curve, which prices every transfer as a read).
+    #[must_use]
+    pub fn writeback_words_at(&self, m: u64) -> u64 {
+        match self {
+            ProfilePayload::Capacity(_) => 0,
+            ProfilePayload::Traffic(t) => t.writeback_words_at(m),
+        }
+    }
+
+    /// The per-boundary words (reads plus write-backs) of a ladder whose
+    /// levels are all cache-managed, innermost first.
+    #[must_use]
+    pub fn traffic_for(&self, spec: &HierarchySpec) -> LevelTraffic {
+        match self {
+            ProfilePayload::Capacity(p) => p.traffic_for(spec),
+            ProfilePayload::Traffic(t) => t.traffic_for(spec),
+        }
+    }
+
+    /// The smallest memory, in **words**, at which only compulsory
+    /// traffic remains: no read or write-back falls past it. A device
+    /// ledger saturates at its longest reuse distance in lines (no dirty
+    /// chain's gap exceeds it), converted to words.
+    #[must_use]
+    pub fn saturating_words(&self) -> u64 {
+        match self {
+            ProfilePayload::Capacity(p) => p.saturating_capacity(),
+            ProfilePayload::Traffic(t) => t
+                .profile()
+                .saturating_capacity()
+                .saturating_mul(t.line_words()),
+        }
     }
 }
 
@@ -380,52 +344,52 @@ fn encode_capacity(w: &mut ByteWriter, p: &CapacityProfile) {
 ///
 /// # Errors
 ///
-/// A typed [`ProfileImageError`] for any truncation, foreign magic,
+/// A typed [`CheckpointError`] for any truncation, foreign magic,
 /// version skew, checksum mismatch, or structural violation. Never
 /// panics on arbitrary input.
-pub fn decode_profile(bytes: &[u8]) -> Result<(ProfileMeta, ProfilePayload), ProfileImageError> {
-    let mut r = ByteReader::verified(bytes).map_err(ProfileImageError::from)?;
-    let magic: [u8; 4] = r.array().map_err(ProfileImageError::from)?;
+pub fn decode_profile(bytes: &[u8]) -> Result<(ProfileMeta, ProfilePayload), CheckpointError> {
+    let mut r = ByteReader::verified(bytes)?;
+    let magic: [u8; 4] = r.array()?;
     if magic != PROFILE_MAGIC {
-        return Err(ProfileImageError::BadMagic { found: magic });
+        return Err(CheckpointError::BadMagic { found: magic });
     }
-    let version = r.u16().map_err(ProfileImageError::from)?;
+    let version = r.u16()?;
     if version != PROFILE_VERSION {
-        return Err(ProfileImageError::UnsupportedVersion { found: version });
+        return Err(CheckpointError::UnsupportedVersion { found: version });
     }
-    let kind = r.u8().map_err(ProfileImageError::from)?;
+    let kind = r.u8()?;
     if kind > 1 {
-        return Err(ProfileImageError::Corrupt {
+        return Err(CheckpointError::Corrupt {
             reason: "unknown payload kind",
         });
     }
     let kernel = read_string(&mut r)?;
-    let n = r.u64().map_err(ProfileImageError::from)?;
+    let n = r.u64()?;
     let engine = read_string(&mut r)?;
-    let sample_shift = r.u64().map_err(ProfileImageError::from)?;
+    let sample_shift = r.u64()?;
     if sample_shift > u64::from(MAX_SAMPLE_SHIFT) {
-        return Err(ProfileImageError::Corrupt {
+        return Err(CheckpointError::Corrupt {
             reason: "sampling exponent beyond the engine's maximum",
         });
     }
     let sample_shift = sample_shift as u32;
-    let line_words = r.u64().map_err(ProfileImageError::from)?;
+    let line_words = r.u64()?;
     if line_words == 0 || !line_words.is_power_of_two() {
-        return Err(ProfileImageError::Corrupt {
+        return Err(CheckpointError::Corrupt {
             reason: "line size must be a positive power of two",
         });
     }
-    let writebacks = match r.u8().map_err(ProfileImageError::from)? {
+    let writebacks = match r.u8()? {
         0 => false,
         1 => true,
         _ => {
-            return Err(ProfileImageError::Corrupt {
+            return Err(CheckpointError::Corrupt {
                 reason: "write-back flag must be 0 or 1",
             })
         }
     };
     if (kind == 1) != writebacks {
-        return Err(ProfileImageError::Corrupt {
+        return Err(CheckpointError::Corrupt {
             reason: "payload kind disagrees with the write-back flag",
         });
     }
@@ -442,17 +406,17 @@ pub fn decode_profile(bytes: &[u8]) -> Result<(ProfileMeta, ProfilePayload), Pro
         ProfilePayload::Capacity(profile)
     } else {
         if sample_shift != 0 {
-            return Err(ProfileImageError::Corrupt {
+            return Err(CheckpointError::Corrupt {
                 reason: "traffic profiles are never sampled",
             });
         }
-        let wb_len = r.u64().map_err(ProfileImageError::from)?;
+        let wb_len = r.u64()?;
         let wb_steps = read_steps(&mut r, wb_len)?;
-        let closed = r.u64().map_err(ProfileImageError::from)?;
-        let open = r.u64().map_err(ProfileImageError::from)?;
+        let closed = r.u64()?;
+        let open = r.u64()?;
         let ledgered = wb_steps.last().map_or(0, |&(_, c)| c);
         if ledgered != closed {
-            return Err(ProfileImageError::Corrupt {
+            return Err(CheckpointError::Corrupt {
                 reason: "write-back ledger total disagrees with its steps",
             });
         }
@@ -464,36 +428,36 @@ pub fn decode_profile(bytes: &[u8]) -> Result<(ProfileMeta, ProfilePayload), Pro
             open,
         ))
     };
-    r.expect_end().map_err(ProfileImageError::from)?;
+    r.expect_end()?;
     Ok((meta, payload))
 }
 
-fn read_string(r: &mut ByteReader<'_>) -> Result<String, ProfileImageError> {
-    let len = r.u16().map_err(ProfileImageError::from)?;
+fn read_string(r: &mut ByteReader<'_>) -> Result<String, CheckpointError> {
+    let len = r.u16()?;
     let mut bytes = Vec::with_capacity(usize::from(len));
     for _ in 0..len {
-        bytes.push(r.u8().map_err(ProfileImageError::from)?);
+        bytes.push(r.u8()?);
     }
-    String::from_utf8(bytes).map_err(|_| ProfileImageError::Corrupt {
+    String::from_utf8(bytes).map_err(|_| CheckpointError::Corrupt {
         reason: "header string is not UTF-8",
     })
 }
 
 /// Reads `len` breakpoint pairs and enforces strict monotonicity in both
 /// coordinates (the sparse-histogram invariant every query relies on).
-fn read_steps(r: &mut ByteReader<'_>, len: u64) -> Result<Vec<(u64, u64)>, ProfileImageError> {
-    let flat = r.u64_vec(len.saturating_mul(2)).map_err(ProfileImageError::from)?;
+fn read_steps(r: &mut ByteReader<'_>, len: u64) -> Result<Vec<(u64, u64)>, CheckpointError> {
+    let flat = r.u64_vec(len.saturating_mul(2))?;
     let steps: Vec<(u64, u64)> = flat.chunks_exact(2).map(|p| (p[0], p[1])).collect();
     let mut prev: Option<(u64, u64)> = None;
     for &(d, c) in &steps {
         if c == 0 {
-            return Err(ProfileImageError::Corrupt {
+            return Err(CheckpointError::Corrupt {
                 reason: "breakpoint with a zero cumulative count",
             });
         }
         if let Some((pd, pc)) = prev {
             if d <= pd || c <= pc {
-                return Err(ProfileImageError::Corrupt {
+                return Err(CheckpointError::Corrupt {
                     reason: "breakpoints must strictly increase in both coordinates",
                 });
             }
@@ -503,18 +467,15 @@ fn read_steps(r: &mut ByteReader<'_>, len: u64) -> Result<Vec<(u64, u64)>, Profi
     Ok(steps)
 }
 
-fn decode_capacity(
-    r: &mut ByteReader<'_>,
-    shift: u32,
-) -> Result<CapacityProfile, ProfileImageError> {
-    let accesses = r.u64().map_err(ProfileImageError::from)?;
-    let compulsory = r.u64().map_err(ProfileImageError::from)?;
+fn decode_capacity(r: &mut ByteReader<'_>, shift: u32) -> Result<CapacityProfile, CheckpointError> {
+    let accesses = r.u64()?;
+    let compulsory = r.u64()?;
     if compulsory > accesses {
-        return Err(ProfileImageError::Corrupt {
+        return Err(CheckpointError::Corrupt {
             reason: "more compulsory misses than accesses",
         });
     }
-    let len = r.u64().map_err(ProfileImageError::from)?;
+    let len = r.u64()?;
     let steps = read_steps(r, len)?;
     if shift == 0 {
         // Exact profiles account for every access: reuses + compulsory
@@ -522,7 +483,7 @@ fn decode_capacity(
         // which this identity deliberately does not bind.
         let reuses = steps.last().map_or(0, |&(_, h)| h);
         if reuses != accesses - compulsory {
-            return Err(ProfileImageError::Corrupt {
+            return Err(CheckpointError::Corrupt {
                 reason: "exact profile does not account for every access",
             });
         }
@@ -576,7 +537,7 @@ pub enum Lookup {
     /// recomputing.
     Quarantined {
         /// Why the image was rejected.
-        error: ProfileImageError,
+        error: CheckpointError,
     },
 }
 
@@ -759,7 +720,7 @@ impl ProfileStore {
         match decode_profile(&bytes) {
             Ok((meta, payload)) if meta.key() == *key => Ok(Lookup::Hit { meta, payload }),
             Ok(_) => {
-                let error = ProfileImageError::Corrupt {
+                let error = CheckpointError::Corrupt {
                     reason: "stored header does not match its content address",
                 };
                 self.quarantine_entry(&name)?;
@@ -1035,13 +996,13 @@ mod tests {
         let forged = encode_with_version(&meta, &payload, PROFILE_VERSION + 3);
         assert!(matches!(
             decode_profile(&forged),
-            Err(ProfileImageError::UnsupportedVersion { found }) if found == PROFILE_VERSION + 3
+            Err(CheckpointError::UnsupportedVersion { found }) if found == PROFILE_VERSION + 3
         ));
         // Foreign magic breaks the checksum first — still a typed error.
         bytes[0] = b'X';
         assert!(matches!(
             decode_profile(&bytes),
-            Err(ProfileImageError::ChecksumMismatch { .. })
+            Err(CheckpointError::ChecksumMismatch { .. })
         ));
     }
 
@@ -1164,7 +1125,7 @@ mod tests {
         fs::write(dir.join(other.file_name()), &bytes).unwrap();
         match store.get(&other).unwrap() {
             Lookup::Quarantined { error } => {
-                assert!(matches!(error, ProfileImageError::Corrupt { .. }));
+                assert!(matches!(error, CheckpointError::Corrupt { .. }));
             }
             other => panic!("expected quarantine, got {other:?}"),
         }

@@ -162,23 +162,6 @@ pub fn sampled_profile_of(
     engine.into_profile()
 }
 
-/// As [`sampled_profile_of`], with the direct-indexed backend for traces
-/// whose addresses lie in `[0, addr_bound)`.
-///
-/// # Panics
-///
-/// As [`SampledStackDistance::with_address_bound`].
-#[must_use]
-pub fn sampled_profile_of_bounded(
-    addrs: impl IntoIterator<Item = u64>,
-    addr_bound: u64,
-    shift: u32,
-) -> CapacityProfile {
-    let mut engine = SampledStackDistance::with_address_bound(shift, addr_bound);
-    engine.observe_trace(addrs);
-    engine.into_profile()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,7 +208,9 @@ mod tests {
     #[test]
     fn sampled_profile_reports_its_rate_and_true_accesses() {
         let trace = blocked_trace(32, 500);
-        let p = sampled_profile_of_bounded(trace.iter().copied(), 700, 3);
+        let mut engine = SampledStackDistance::with_address_bound(3, 700);
+        engine.observe_trace(trace.iter().copied());
+        let p = engine.into_profile();
         assert!(!p.is_exact());
         assert_eq!(p.sample_shift(), 3);
         assert!((p.sampling_rate() - 0.125).abs() < 1e-12);

@@ -35,12 +35,18 @@
 //! is `O(K · U · log U)` — independent of trace length, so for
 //! billion-address traces the serial fraction vanishes and the speedup
 //! approaches K (memory: one last-access table per concurrent worker).
+//!
+//! One driver runs every segmented pass: [`segmented_profile_resumable`]
+//! feeds each range through the resumable replay driver
+//! ([`resumable_replay`]), with per-segment checkpoints, fault injection
+//! and a deadline when the caller arms them. [`segmented_profile_of`] is
+//! its call with none of them armed.
 
 use std::time::Instant;
 
 use crate::checkpoint::{
     load, resumable_replay, write_atomic, ByteWriter, CheckpointPolicy, ReplayControl,
-    ReplayInterrupt, ReplayStats, CHECKPOINT_VERSION,
+    ReplayInterrupt, ReplayStats, CHECKPOINT_VERSION, NO_FAULTS,
 };
 use crate::faults::{FaultPlan, InjectedFault};
 use crate::stackdist::{CapacityProfile, StackDistance};
@@ -59,25 +65,6 @@ struct SegmentPass {
     first_touches: Vec<u64>,
     final_stack: Vec<u64>,
     accesses: u64,
-}
-
-/// Runs one per-range pass over `addrs`.
-fn segment_pass(
-    addrs: impl IntoIterator<Item = u64>,
-    addr_bound: Option<u64>,
-) -> SegmentPass {
-    let mut engine = StackDistance::for_bound(addr_bound);
-    engine.record_first_touches();
-    engine.observe_trace(addrs);
-    let final_stack = engine.final_stack();
-    let first_touches = engine.take_first_touches();
-    let (hist, accesses) = engine.into_parts();
-    SegmentPass {
-        hist,
-        first_touches,
-        final_stack,
-        accesses,
-    }
 }
 
 /// Splits `len` accesses into `segments` near-equal contiguous ranges.
@@ -106,6 +93,10 @@ fn ranges(len: u64, segments: usize) -> Vec<(u64, u64)> {
 /// merges them exactly. Bit-identical to
 /// [`StackDistance::profile_of`]/[`profile_of_bounded`]
 /// (pinned by property test).
+///
+/// This is the no-policy call of [`segmented_profile_resumable`]: no
+/// checkpoint directory, no armed faults and no deadline, so nothing can
+/// interrupt it. One segment runs inline on the caller's thread.
 ///
 /// `make_range(start, end)` must produce the trace's addresses in
 /// positions `[start, end)`; it is called concurrently from worker
@@ -143,33 +134,11 @@ where
     I: Iterator<Item = u64>,
     F: Fn(u64, u64) -> I + Sync,
 {
-    let ranges = ranges(len, segments);
-    // One segment degenerates to the serial engine — skip the scaffolding.
-    if ranges.len() <= 1 {
-        let (start, end) = ranges.first().copied().unwrap_or((0, 0));
-        let mut engine = StackDistance::for_bound(addr_bound);
-        engine.observe_trace(make_range(start, end));
-        return engine.into_profile();
-    }
-
-    let passes: Vec<SegmentPass> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(start, end)| {
-                let make_range = &make_range;
-                scope.spawn(move || segment_pass(make_range(start, end), addr_bound))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| panic!("segment worker panicked"))
-            })
-            .collect()
-    });
-
-    merge_passes(passes, addr_bound)
+    segmented_profile_resumable(
+        len, addr_bound, segments, make_range, None, &NO_FAULTS, None,
+    )
+    .map(|(profile, _)| profile)
+    .unwrap_or_else(|e| panic!("an unpoliced segmented replay cannot be interrupted: {e}"))
 }
 
 /// The sequential exact merge, in time order (see module docs).
@@ -220,7 +189,7 @@ fn segment_file(k: usize) -> String {
     format!("seg_{k}")
 }
 
-/// One resumable per-range pass (the fault-tolerant [`segment_pass`]).
+/// One per-range pass (see module docs), resumable under `ctl`.
 fn segment_pass_resumable<I: Iterator<Item = u64>>(
     addrs: I,
     seg_len: u64,
@@ -269,7 +238,8 @@ fn segment_pass_resumable<I: Iterator<Item = u64>>(
 ///
 /// # Panics
 ///
-/// As [`segmented_profile_of`].
+/// As [`StackDistance::for_bound`] when an address breaks the
+/// `addr_bound` promise; propagates worker panics.
 #[allow(clippy::too_many_lines)]
 pub fn segmented_profile_resumable<I, F>(
     len: u64,

@@ -3,8 +3,8 @@
 use balance_core::Words;
 use balance_machine::{
     resumable_replay, sampled_profile_of, segmented_profile_of, segmented_profile_resumable,
-    CapacityProfile, CheckpointPolicy, ExternalStore, FaultPlan, Hierarchy, LruCache,
-    MemorySystem, Pe, ReplayControl, StackDistance,
+    CapacityProfile, CheckpointPolicy, ExternalStore, FaultPlan, Hierarchy, LruCache, MemorySystem,
+    Pe, ReplayControl, SampledStackDistance, StackDistance,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -386,6 +386,22 @@ proptest! {
             err_coarse
         );
         prop_assert!(err_fine < 0.12, "rate 1/2 err {}", err_fine);
+    }
+
+    /// The sampled engine's two index backends build the same profile,
+    /// structurally equal: the sweep's rung driver takes the
+    /// direct-indexed table unless a resident-byte cap asks for the
+    /// hash-backed one, and that choice must not move a number.
+    #[test]
+    fn sampled_direct_and_hash_backends_give_equal_profiles(
+        trace in proptest::collection::vec(0u64..300, 0..600),
+        shift in 0u32..=6,
+    ) {
+        let mut direct = SampledStackDistance::with_address_bound(shift, 300);
+        direct.observe_trace(trace.iter().copied());
+        let mut hash = SampledStackDistance::new(shift);
+        hash.observe_trace(trace.iter().copied());
+        prop_assert_eq!(direct.into_profile(), hash.into_profile(), "shift {}", shift);
     }
 
     /// Strided gather matches a manual gather.
